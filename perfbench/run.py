@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Build and run the simulator benchmark from the root of a checkout.
 
-    python3 perfbench/run.py --workload repro|sweep|stream --seed N \
+    python3 perfbench/run.py --workload repro|sweep --seed N \
         --seconds S --trace 0|1
 
 Configures and builds perfbench/ (which compiles ../src) in the directory
@@ -42,7 +42,7 @@ def build(build_dir):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True, choices=["repro", "sweep", "stream"])
+    parser.add_argument("--workload", required=True, choices=["repro", "sweep"])
     parser.add_argument("--seed", required=True, type=int)
     parser.add_argument("--seconds", required=True, type=int)
     parser.add_argument("--trace", required=True, type=int, choices=[0, 1])

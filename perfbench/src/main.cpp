@@ -1,11 +1,11 @@
 // perfbench — the simulator's benchmark. See perfbench/README.md.
 //
-//   perfbench --workload repro|sweep|stream --seed N --seconds S --trace 0|1
+//   perfbench --workload repro|sweep --seed N --seconds S --trace 0|1
 //             [--root DIR] [--work DIR] [--spans PATH]
 //
-// Runs rounds of the three paths (repro, sweep, stream) for about S seconds;
-// the workload chooses which path runs at full size. The last stdout line is
-// one JSON object {"correct", "attempted", "failed", "metrics"}: the
+// Runs rounds of the three paths (sweep, repro, stream) for at most S
+// seconds; the workload chooses whether repro or sweep runs at full size.
+// The last stdout line is one JSON object {"correct", "attempted", "failed", "metrics"}: the
 // end-to-end metrics with --trace 0, the per-layer metrics with --trace 1.
 #include <unistd.h>
 
@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -108,23 +109,33 @@ const std::vector<Metric> kPerLayer = {
     {"perfbench.trace.spans", "count"},
 };
 
-/// Sizes of the three paths in one workload: the focus path at full size,
-/// the other two as small fixed probes.
+/// Sizes of the repro and sweep paths in one workload: the focus path at
+/// full size, the other as a small fixed probe. The stream path runs at full
+/// size (kStreamEvents) on every workload.
 struct Plan {
   std::string repro_manifest;  ///< relative to the checkout root
   bool repro_claims = false;
   cr::slot_t sweep_horizon = 0;
   cr::slot_t sweep_long = 0;
-  int lockstep_passes = 1;
-  std::uint64_t stream_events = 0;
+  cr::slot_t lockstep_horizon = 0;
 };
 
 constexpr int kSweepReps = 16;
 constexpr double kOpenRate = 500000.0;  // ~a quarter of closed-loop capacity
+// Open-loop events arrive in bursts of this many, one burst every
+// kOpenBurst / kOpenRate = 512 us: a window's lag is then mostly the time
+// the consumer takes to work through the burst ahead of the window's
+// closing event, not the ~2 us hand-off between two CPUs, which on a shared
+// host drifted from 1.5 to 2.8 us within one minute with no code change.
+constexpr std::size_t kOpenBurst = 256;
+constexpr std::uint64_t kStreamEvents = 1000000;
+// Set-ups per run, about a second in all: one set-up lasts ~12 ms, and its
+// time shifts by a third for tens of milliseconds at a time on a shared host.
+constexpr int kSetups = 81;
 
 bool make_plan(const std::string& workload, Plan* plan) {
   const Plan probe = {"perfbench/mini_suite.json", false, cr::slot_t{1} << 17,
-                      cr::slot_t{1} << 20, 4, 500000};
+                      cr::slot_t{1} << 20, cr::slot_t{1} << 19};
   *plan = probe;
   if (workload == "repro") {
     plan->repro_manifest = "suites/quick.json";
@@ -132,9 +143,7 @@ bool make_plan(const std::string& workload, Plan* plan) {
   } else if (workload == "sweep") {
     plan->sweep_horizon = cr::slot_t{1} << 20;
     plan->sweep_long = cr::slot_t{1} << 24;
-    plan->lockstep_passes = 1;
-  } else if (workload == "stream") {
-    plan->stream_events = 1000000;
+    plan->lockstep_horizon = plan->sweep_horizon;
   } else {
     return false;
   }
@@ -150,8 +159,8 @@ struct Inputs {
 Inputs set_up(const std::string& root, const Plan& plan, std::uint64_t seed) {
   return {perfbench::load_repro(root + "/" + plan.repro_manifest, plan.repro_claims),
           perfbench::make_sweep(plan.sweep_horizon, kSweepReps, plan.sweep_long,
-                                plan.lockstep_passes),
-          perfbench::make_stream(seed, plan.stream_events, kOpenRate)};
+                                plan.lockstep_horizon),
+          perfbench::make_stream(seed, kStreamEvents, kOpenRate, kOpenBurst)};
 }
 
 std::string cpu_model() {
@@ -183,7 +192,7 @@ std::string number(double v) {
 
 [[noreturn]] void usage(const char* why) {
   std::cerr << "perfbench: " << why
-            << "\nusage: perfbench --workload repro|sweep|stream --seed N --seconds S "
+            << "\nusage: perfbench --workload repro|sweep --seed N --seconds S "
                "--trace 0|1 [--root DIR] [--work DIR] [--spans PATH]\n";
   std::exit(2);
 }
@@ -215,7 +224,7 @@ int main(int argc, char** argv) {
   }
   if (argc % 2 == 0) usage("flags come in --key value pairs");
   Plan plan;
-  if (!make_plan(workload, &plan)) usage("--workload must be repro, sweep or stream");
+  if (!make_plan(workload, &plan)) usage("--workload must be repro or sweep");
   if (seed < 0 || seconds < 1 || (trace != 0 && trace != 1)) usage("--seed, --seconds, --trace");
   if (!std::filesystem::exists(root + "/suites/quick.json") ||
       !std::filesystem::exists(root + "/" + plan.repro_manifest)) {
@@ -235,9 +244,10 @@ int main(int argc, char** argv) {
             << ", \"params\": {\"repro_manifest\": " << json_string(plan.repro_manifest)
             << ", \"sweep_horizon\": " << plan.sweep_horizon
             << ", \"sweep_reps\": " << kSweepReps << ", \"sweep_long\": " << plan.sweep_long
-            << ", \"lockstep_passes\": " << plan.lockstep_passes
-            << ", \"stream_events\": " << plan.stream_events
+            << ", \"lockstep_horizon\": " << plan.lockstep_horizon
+            << ", \"stream_events\": " << kStreamEvents
             << ", \"open_rate\": " << number(kOpenRate)
+            << ", \"open_burst\": " << kOpenBurst
             << "}, \"cpu\": " << json_string(cpu_model())
             << ", \"nproc\": " << std::thread::hardware_concurrency()
             << ", \"compiler\": " << json_string(__VERSION__)
@@ -260,41 +270,47 @@ int main(int argc, char** argv) {
   // setup_s and the last build is used.
   std::vector<double> setup_s;
   Inputs inputs;
-  for (int k = 0; k < 11; ++k) {
+  for (int k = 0; k < kSetups; ++k) {
     const Clock::time_point t0 = Clock::now();
     inputs = set_up(root, plan, ctx.seed);
     setup_s.push_back(std::chrono::duration<double>(Clock::now() - t0).count());
   }
 
-  // Rounds until the time budget is spent. A traced run alternates untraced
-  // and traced rounds so it can report the tracing overhead on the focus path.
+  // Rounds until the time budget is spent. Within a round a path runs only
+  // if its previous call still fits in the time left, so once the focus path
+  // no longer fits, the shorter paths fill the rest of the budget with more
+  // samples. A traced run alternates untraced and traced rounds (at least
+  // one of each) so it can report the tracing overhead on the focus path.
+  // The stream path runs last, after the single-threaded repro path: its
+  // open-loop lag was measured most disturbed right after the sweep's
+  // multi-threaded burst.
+  struct Path {
+    bool focus;
+    std::function<void()> run;
+    double last_s = 0.0;
+  };
+  Path paths[] = {
+      {workload == "sweep", [&] { perfbench::run_sweep(ctx, inputs.sweep, workload == "sweep"); }},
+      {workload == "repro", [&] { perfbench::run_repro(ctx, inputs.repro, workload == "repro"); }},
+      {false, [&] { perfbench::run_stream(ctx, inputs.stream); }},
+  };
   const Clock::time_point start = Clock::now();
+  const auto elapsed = [&] { return std::chrono::duration<double>(Clock::now() - start).count(); };
   std::vector<double> focus_wall[2];
-  double last_round = 0.0;
   int round = 0;
-  for (;;) {
+  for (bool ran = true; ran; ++round) {
     const bool traced = traced_run && round % 2 == 1;
+    const bool forced = traced_run && round < 2;
     tracer.set_enabled(traced);
-    const Clock::time_point r0 = Clock::now();
-    double focus_s = 0.0;
-    const auto timed = [&](bool focus, auto&& phase) {
+    ran = false;
+    for (Path& path : paths) {
+      if (!forced && elapsed() + path.last_s > static_cast<double>(seconds)) continue;
       const Clock::time_point t0 = Clock::now();
-      phase(focus);
-      if (focus) focus_s = std::chrono::duration<double>(Clock::now() - t0).count();
-    };
-    // The stream path runs last, after the single-threaded repro path: its
-    // open-loop lag is the figure most exposed to CPU time the host takes
-    // back from a busy virtual machine, and measured worst right after the
-    // sweep's multi-threaded burst.
-    timed(workload == "sweep", [&](bool f) { perfbench::run_sweep(ctx, inputs.sweep, f); });
-    timed(workload == "repro", [&](bool f) { perfbench::run_repro(ctx, inputs.repro, f); });
-    timed(workload == "stream", [&](bool f) { perfbench::run_stream(ctx, inputs.stream, f); });
-    focus_wall[traced ? 1 : 0].push_back(focus_s);
-    last_round = std::chrono::duration<double>(Clock::now() - r0).count();
-    ++round;
-    const double elapsed = std::chrono::duration<double>(Clock::now() - start).count();
-    if (traced_run && round < 2) continue;
-    if (elapsed + last_round > static_cast<double>(seconds)) break;
+      path.run();
+      path.last_s = std::chrono::duration<double>(Clock::now() - t0).count();
+      if (path.focus) focus_wall[traced ? 1 : 0].push_back(path.last_s);
+      ran = true;
+    }
   }
 
   std::vector<std::pair<std::string, double>> metrics;
@@ -336,8 +352,9 @@ int main(int argc, char** argv) {
       tracer.write_jsonl(out);
     }
     // The per-layer table, self times included, for a human reader.
-    std::cout << "per-layer table (" << workload << ", seed " << seed << ", " << round
-              << " rounds, " << focus_wall[1].size() << " traced; " << spans.size()
+    std::cout << "per-layer table (" << workload << ", seed " << seed << ", "
+              << focus_wall[0].size() + focus_wall[1].size() << " focus calls, "
+              << focus_wall[1].size() << " traced; " << spans.size()
               << " spans)\n";
     for (std::size_t i = 0; i < metrics.size(); ++i) {
       char line[160];

@@ -247,17 +247,16 @@ struct LoopOutcome {
 };
 
 /// Feeds `feed` through a 1024-slot ring (block policy) from a producer
-/// thread into `sim` on this thread. Closed loop (rate 0): push as fast as
-/// the ring accepts. Open loop: event i is due at t0 + i/rate, the producer
+/// thread into `sim` on this thread. Closed loop: push as fast as the ring
+/// accepts. Open loop: event i is due at t0 + in.due_s(i), the producer
 /// waits for each due time, and `late_us[i]` records how late it pushed.
-LoopOutcome stream_loop(Context& ctx, cr::StreamSim& sim, const StreamInput& in, double rate,
+LoopOutcome stream_loop(Context& ctx, cr::StreamSim& sim, const StreamInput& in, bool open,
                         std::vector<double>* late_us) {
   LoopOutcome out;
   const std::size_t n = in.feed.size();
   out.lines = std::make_unique<LineClock>(n / 64 + 16);
   std::ostream os(out.lines.get());
   cr::EventRing ring(1024);
-  const double period_ns = rate > 0.0 ? 1e9 / rate : 0.0;
   out.t0 = Clock::now() + std::chrono::milliseconds(2);
   if (late_us != nullptr) late_us->assign(n, 0.0);
 
@@ -272,10 +271,9 @@ LoopOutcome stream_loop(Context& ctx, cr::StreamSim& sim, const StreamInput& in,
     for (std::size_t i = 0; i < n; ++i) {
       const cr::StreamEvent& ev = in.feed[i];
       Clock::time_point due{};
-      if (rate > 0.0) {
-        due = out.t0 + std::chrono::nanoseconds(
-                         static_cast<std::int64_t>(period_ns * static_cast<double>(i)));
-        // Yield-wait: a 2 us schedule is far below sleep granularity, and on
+      if (open) {
+        due = out.t0 + std::chrono::nanoseconds(static_cast<std::int64_t>(1e9 * in.due_s(i)));
+        // Yield-wait: sleeping overshoots a sub-millisecond schedule, and on
         // a shared 4-vCPU KVM guest a pure busy-wait showed millisecond
         // producer stalls at p99 where yielding did not.
         while (Clock::now() < due) std::this_thread::yield();
@@ -288,7 +286,7 @@ LoopOutcome stream_loop(Context& ctx, cr::StreamSim& sim, const StreamInput& in,
         }
         stall += Clock::now() - wait0;
       }
-      if (rate > 0.0) (*late_us)[i] = 1e6 * seconds_between(due, Clock::now());
+      if (open) (*late_us)[i] = 1e6 * seconds_between(due, Clock::now());
       highwater = std::max(highwater, ring.size());
     }
     ring.close();
@@ -448,17 +446,19 @@ void run_repro(Context& ctx, const ReproInput& in, bool focus) {
 // ---------------------------------------------------------------- sweep ----
 
 SweepInput make_sweep(cr::slot_t horizon, int reps, cr::slot_t long_horizon,
-                      int lockstep_passes) {
+                      cr::slot_t lockstep_horizon) {
   SweepInput in;
   in.reps = reps;
-  in.lockstep_passes = lockstep_passes;
   for (const Component& a : kArrivals) {
     for (const Component& j : kJammers) {
       std::vector<std::pair<std::string, std::string>> kvs = a.kvs;
       kvs.insert(kvs.end(), j.kvs.begin(), j.kvs.end());
+      std::vector<std::pair<std::string, std::string>> lockstep_kvs = kvs;
       kvs.emplace_back("horizon", std::to_string(horizon));
+      lockstep_kvs.emplace_back("horizon", std::to_string(lockstep_horizon));
       // reactive jams after observed successes, so it reads the history.
-      SweepPoint point{a.name + "_" + j.name, parse_spec(kvs), j.name != "reactive", false};
+      SweepPoint point{a.name + "_" + j.name, parse_spec(kvs), parse_spec(lockstep_kvs),
+                       j.name != "reactive", false};
       const cr::LockstepCertificate cert = cr::lockstep_certificate(point.spec);
       point.exact_jams = point.history_independent &&
                          !(cert.eligible && cert.quiet_after < point.spec.horizon);
@@ -478,22 +478,23 @@ void run_sweep(Context& ctx, const SweepInput& in, bool focus) {
   double fast_slots = 0.0, fast_s = 0.0, lock_slots = 0.0, lock_s = 0.0;
   const double cpu0 = cpu_seconds();
 
+  const auto replicate = [&](const cr::Engine& engine, const cr::WorkloadSpec& spec) {
+    ScopedSpan span(*ctx.tracer, "exp.replicate_workload");
+    return cr::replicate_workload(engine, spec, in.reps, ctx.seed, ctx.threads);
+  };
   for (const SweepPoint& p : in.points) {
     std::vector<cr::SimResult> results[2];
     const cr::Engine* engines[2] = {&fast, &lock};
     for (int e = 0; e < 2; ++e) {
-      const int passes = e == 0 ? 1 : in.lockstep_passes;
       const Clock::time_point t0 = Clock::now();
-      for (int pass = 0; pass < passes; ++pass) {
-        ScopedSpan span(*ctx.tracer, "exp.replicate_workload");
-        results[e] = cr::replicate_workload(*engines[e], p.spec, in.reps, ctx.seed, ctx.threads);
-      }
+      results[e] = replicate(*engines[e], e == 0 ? p.spec : p.lockstep_spec);
       const double secs = seconds_between(t0, Clock::now());
-      const double slots = static_cast<double>(passes) * static_cast<double>(sum_slots(results[e]));
+      const double slots = static_cast<double>(sum_slots(results[e]));
       s.add("engine." + engines[e]->name() + ".slots_per_s." + p.name, slots / secs);
       (e == 0 ? fast_slots : lock_slots) += slots;
       (e == 0 ? fast_s : lock_s) += secs;
     }
+    if (p.lockstep_spec.horizon != p.spec.horizon) results[1] = replicate(lock, p.spec);
     const auto& f = results[0];
     const auto& l = results[1];
     bool full = f.size() == static_cast<std::size_t>(in.reps) && l.size() == f.size();
@@ -562,11 +563,12 @@ void run_sweep(Context& ctx, const SweepInput& in, bool focus) {
 
 // --------------------------------------------------------------- stream ----
 
-StreamInput make_stream(std::uint64_t seed, std::uint64_t events, double open_rate) {
-  return {cr::synth_stream_events(seed, events), open_rate};
+StreamInput make_stream(std::uint64_t seed, std::uint64_t events, double open_rate,
+                        std::size_t open_burst) {
+  return {cr::synth_stream_events(seed, events), open_rate, open_burst};
 }
 
-void run_stream(Context& ctx, const StreamInput& in, bool focus) {
+void run_stream(Context& ctx, const StreamInput& in) {
   const std::size_t n = in.feed.size();
   Samples& s = *ctx.samples;
   const cr::StreamOptions opts = stream_options(ctx.seed);
@@ -575,9 +577,7 @@ void run_stream(Context& ctx, const StreamInput& in, bool focus) {
   cr::StreamSim closed_sim(opts);
   std::uint64_t checkpoints = 0;
   closed_sim.set_checkpoint_sink([&](const std::vector<std::uint8_t>&) { ++checkpoints; });
-  const double cpu0 = cpu_seconds();
-  const LoopOutcome closed = stream_loop(ctx, closed_sim, in, 0.0, nullptr);
-  const double cpu1 = cpu_seconds();
+  const LoopOutcome closed = stream_loop(ctx, closed_sim, in, false, nullptr);
   const std::uint64_t closed_fnv =
       check_loop(ctx, closed, split_lines(closed.lines->text()), n, "closed loop");
   ctx.gates->check(checkpoints > 0, "stream closed loop: periodic checkpoints cut");
@@ -587,7 +587,6 @@ void run_stream(Context& ctx, const StreamInput& in, bool focus) {
   s.add("engine.stream.ring_highwater", static_cast<double>(closed.highwater));
   s.add("engine.stream.slots", static_cast<double>(closed.summary.slots));
   s.add("metrics.windowed.windows", static_cast<double>(closed.summary.windows));
-  if (focus) s.add("exp.harness.cores_busy", (cpu1 - cpu0) / closed.wall_s);
 
   // Snapshot cost at the end-of-feed state, and a bit-exact restore.
   std::vector<double> save_us, restore_us;
@@ -617,11 +616,11 @@ void run_stream(Context& ctx, const StreamInput& in, bool focus) {
   s.add("common.snapshot.save_us", median(save_us));
   s.add("common.snapshot.restore_us", median(restore_us));
 
-  // (b) open loop at the fixed offered rate, on the same feed.
+  // (b) open loop at the fixed offered rate, in bursts, on the same feed.
   cr::StreamSim open_sim(opts);
   open_sim.set_checkpoint_sink([](const std::vector<std::uint8_t>&) {});
   std::vector<double> late;
-  const LoopOutcome open = stream_loop(ctx, open_sim, in, in.open_rate, &late);
+  const LoopOutcome open = stream_loop(ctx, open_sim, in, true, &late);
   const std::vector<std::string> lines = split_lines(open.lines->text());
   const std::uint64_t open_fnv = check_loop(ctx, open, lines, n, "open loop");
   ctx.gates->check(open_fnv == closed_fnv,
@@ -637,13 +636,11 @@ void run_stream(Context& ctx, const StreamInput& in, bool focus) {
     window_stamps.push_back(open.lines->stamps()[i]);
   }
   const std::vector<std::size_t> closers = closing_events(event_slots, window_ends);
-  const double period_s = 1.0 / in.open_rate;
   std::vector<double> lag_us;
   for (std::size_t w = 0; w < closers.size(); ++w) {
     const std::size_t closer = std::min(closers[w], n - 1);  // EOF: due with the last event
     const Clock::time_point due =
-        open.t0 + std::chrono::nanoseconds(
-                      static_cast<std::int64_t>(1e9 * period_s * static_cast<double>(closer)));
+        open.t0 + std::chrono::nanoseconds(static_cast<std::int64_t>(1e9 * in.due_s(closer)));
     lag_us.push_back(1e6 * seconds_between(due, window_stamps[w]));
   }
   // p50 and p90 per segment of kLagSegment windows (~90 ms of feed), reported
