@@ -4,7 +4,9 @@
 // feedback, (a) whether to jam the slot and (b) how many new nodes to
 // inject. Per the model this makes it exactly as powerful as the paper's
 // adaptive Eve: it moves first each slot and sees the same channel feedback
-// as the nodes (no collision detection).
+// as the nodes (no collision detection). In code that view is PublicHistory:
+// counters over the feedback so far (slots, successes, last success slot),
+// which is all any adversary here reads.
 //
 // Most experiments compose an ArrivalProcess with a Jammer via
 // ComposedAdversary; the scripted lower-bound adversaries implement

@@ -13,6 +13,9 @@
 //                                    # snapshot; exit 1 when any fast-engine
 //                                    # cell regresses past --tolerance
 //
+// Independently of --baseline, the run exits 1 when the memory cell's peak
+// resident set exceeds kMemoryCellRssLimitKb.
+//
 // The snapshot name is derived, not hardcoded: the next BENCH_<n+1>.json
 // after the baseline (when --baseline names a BENCH_<n>.json) or after the
 // highest BENCH_<n>.json in the working directory. --json still overrides,
@@ -30,6 +33,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <ostream>
@@ -73,8 +77,30 @@ struct PerfRow {
   std::uint64_t node_table_slots = 0;    ///< resident node-table slots at finish
   std::uint64_t resident_bytes = 0;      ///< node_table_slots * sizeof(Node)
   std::uint64_t dense_extrap_bytes = 0;  ///< arrivals * sizeof(Node) — dense cost
-  std::uint64_t peak_rss_kb = 0;         ///< getrusage ru_maxrss after the run
+  std::uint64_t peak_rss_kb = 0;         ///< process peak RSS over the cell (KB)
+  bool rss_cell_only = false;            ///< peak reset before the cell (VmHWM)
 };
+
+/// The memory cell's process peak RSS bound at its 2^24 horizon: the run is
+/// O(peak live nodes), not O(horizon), so the whole process stays small.
+constexpr std::uint64_t kMemoryCellRssLimitKb = 16 * 1024;
+
+/// Reset the process's peak-RSS mark (VmHWM) to its current RSS. False where
+/// /proc/self/clear_refs is unavailable.
+bool reset_peak_rss() {
+  std::ofstream clear("/proc/self/clear_refs");
+  clear << '5' << std::flush;
+  return clear.good();
+}
+
+/// VmHWM from /proc/self/status in KB; 0 when unreadable.
+std::uint64_t read_peak_rss_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("VmHWM:", 0) == 0) return std::strtoull(line.c_str() + 6, nullptr, 10);
+  return 0;
+}
 
 /// BENCH_<n>.json -> n; -1 when `name` is not of that shape.
 int snapshot_index(const std::string& name) {
@@ -218,9 +244,12 @@ int run(int argc, const char* const* argv) {
   // (2^24 slots of Bernoulli(0.1) arrivals — ~1.7M nodes pass through the
   // system). reps=1 and run directly (not via replicate_scenario) because
   // the signal is the footprint, not throughput: resident node-table bytes
-  // against the dense extrapolation (arrivals × node record), plus process
-  // peak RSS. Same horizon in quick mode so a CI smoke's --baseline diff
-  // against a committed full snapshot finds the matching row.
+  // against the dense extrapolation (arrivals × node record), plus the
+  // process's peak RSS over the cell alone (VmHWM reset just before it, so
+  // earlier cells do not count; ru_maxrss of the whole process where the
+  // reset is unavailable), gated at kMemoryCellRssLimitKb. Same horizon in
+  // quick mode so a CI smoke's --baseline diff against a committed full
+  // snapshot finds the matching row.
   {
     ScenarioParams params;
     params.horizon = slot_t{1} << 24;
@@ -228,6 +257,7 @@ int run(int argc, const char* const* argv) {
     Scenario sc = ScenarioRegistry::instance().build("bernoulli_stream", params);
     sc.config.node_table = NodeTableKind::kSparse;
 
+    const bool rss_reset = reset_peak_rss();
     const auto start = std::chrono::steady_clock::now();
     FastCjzSimulator sim(sc.protocol.fs, *sc.adversary, sc.config,
                          sc.protocol.cjz_options);
@@ -254,8 +284,10 @@ int run(int argc, const char* const* argv) {
     const std::uint64_t node_record_bytes =
         mem.node_table_slots > 0 ? mem.node_bytes / mem.node_table_slots : 0;
     row.dense_extrap_bytes = r.arrivals * node_record_bytes;
+    row.peak_rss_kb = rss_reset ? read_peak_rss_kb() : 0;
+    row.rss_cell_only = row.peak_rss_kb > 0;
     struct rusage usage{};
-    if (getrusage(RUSAGE_SELF, &usage) == 0)
+    if (!row.rss_cell_only && getrusage(RUSAGE_SELF, &usage) == 0)
       row.peak_rss_kb = static_cast<std::uint64_t>(usage.ru_maxrss);
     rows.push_back(row);
   }
@@ -288,21 +320,30 @@ int run(int argc, const char* const* argv) {
       out << "  " << row.scenario << " @ " << static_cast<std::uint64_t>(row.horizon) << ": "
           << format_double(row.speedup_vs_fast_cjz, 2) << "x\n";
 
-  // Memory headline: sparse node-table footprint vs what a dense table would
-  // have resident at the same arrival count.
+  // Memory headline: the process's peak RSS over the cell (gated), then the
+  // sparse node-table footprint vs what a dense table would have resident at
+  // the same arrival count.
+  int memory_failures = 0;
   for (const PerfRow& row : rows) {
     if (!row.memory_cell) continue;
     const double ratio = row.resident_bytes > 0
                              ? static_cast<double>(row.dense_extrap_bytes) /
                                    static_cast<double>(row.resident_bytes)
                              : 0.0;
-    out << "\nsparse node-table footprint (" << row.scenario << " @ "
-        << static_cast<std::uint64_t>(row.horizon) << ", 1 run):\n"
+    const bool over = row.peak_rss_kb > kMemoryCellRssLimitKb;
+    if (over) ++memory_failures;
+    out << "\nmemory cell (" << row.scenario << " @ " << static_cast<std::uint64_t>(row.horizon)
+        << ", 1 run, sparse node table):\n"
+        << "  process peak RSS " << row.peak_rss_kb << " KB "
+        << (row.rss_cell_only ? "(VmHWM over the cell)" : "(ru_maxrss, whole process)")
+        << ", limit " << kMemoryCellRssLimitKb << " KB" << (over ? "  OVER LIMIT" : "") << "\n"
         << "  peak live nodes " << row.peak_live_nodes << ", resident slots "
         << row.node_table_slots << " (" << row.resident_bytes << " bytes); dense would hold "
-        << row.dense_extrap_bytes << " bytes — " << format_double(ratio, 0)
-        << "x smaller; process peak RSS " << row.peak_rss_kb << " KB\n";
+        << row.dense_extrap_bytes << " bytes — " << format_double(ratio, 0) << "x smaller\n";
   }
+  if (memory_failures > 0)
+    out << "\nmemory cell peak RSS over " << kMemoryCellRssLimitKb
+        << " KB — exiting nonzero\n";
 
   // Baseline comparison: per-cell slots/sec delta against the prior
   // snapshot. Only the fast engines gate — the reference engine's 4-rep
@@ -365,12 +406,13 @@ int run(int argc, const char* const* argv) {
         std::snprintf(buf, sizeof(buf),
                       ", \"peak_live_nodes\": %llu, \"node_table_slots\": %llu, "
                       "\"resident_bytes\": %llu, \"dense_extrap_bytes\": %llu, "
-                      "\"peak_rss_kb\": %llu",
+                      "\"peak_rss_kb\": %llu, \"peak_rss_scope\": \"%s\"",
                       static_cast<unsigned long long>(row.peak_live_nodes),
                       static_cast<unsigned long long>(row.node_table_slots),
                       static_cast<unsigned long long>(row.resident_bytes),
                       static_cast<unsigned long long>(row.dense_extrap_bytes),
-                      static_cast<unsigned long long>(row.peak_rss_kb));
+                      static_cast<unsigned long long>(row.peak_rss_kb),
+                      row.rss_cell_only ? "cell" : "process");
         json << buf;
       }
       json << "}" << (i + 1 < rows.size() ? ",\n" : "\n");
@@ -383,7 +425,7 @@ int run(int argc, const char* const* argv) {
          "path and analytic tail skip count the slots they certify away); runs/sec\n"
          "is the end-to-end replication rate a sweep observes. Compare rows within\n"
          "a scenario cell.\n";
-  return regressions > 0 ? 1 : 0;
+  return regressions > 0 || memory_failures > 0 ? 1 : 0;
 }
 
 }  // namespace
@@ -396,9 +438,9 @@ BenchSpec perf() {
   spec.claim = "— (performance trajectory, not a paper claim)";
   spec.outcome =
       "per (scenario × engine) timing rows plus the lockstep-vs-fast_cjz aggregate "
-      "speedup and a sparse node-table memory cell (resident bytes vs dense "
-      "extrapolation, peak RSS); JSON snapshot for CI trend tracking; delta gate vs "
-      "a prior snapshot";
+      "speedup and a sparse node-table memory cell (process peak RSS over the cell, "
+      "gated at 16 MB; resident bytes vs dense extrapolation); JSON snapshot for CI "
+      "trend tracking; delta gate vs a prior snapshot";
   spec.flags = {
       {"json", "JSON snapshot path (default: next BENCH_<n+1>.json; empty string disables)"},
       {"baseline", "prior snapshot to diff against (per-cell slots/sec deltas; exit 1 on "

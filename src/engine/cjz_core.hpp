@@ -100,7 +100,7 @@ class CjzCore {
  public:
   /// `fs` must outlive the core (owned by the caller).
   CjzCore(const FunctionSet* fs, const SimConfig& config, CjzOptions options, Streams streams,
-          Trace::Storage trace_storage = Trace::Storage::kFull)
+          Trace::Storage trace_storage = Trace::Storage::kCounting)
       : fs_(fs),
         config_(config),
         options_(options),
@@ -335,8 +335,8 @@ class CjzCore {
   /// Serialize the complete core state at a slot boundary — call only after
   /// step(k) returned and before step(k+1). Counter-stream cores only: their
   /// per-slot streams are rebound as a pure function of (seed, slot), so no
-  /// generator state crosses the boundary. The Trace ring is NOT serialized;
-  /// snapshot-bearing cores must run with Trace::Storage::kDisabled
+  /// generator state crosses the boundary. The Trace counters are NOT
+  /// serialized; snapshot-bearing cores must run with Trace::Storage::kDisabled
   /// (enforced on load). Leads with a config echo so restoring into a
   /// differently-configured core is a named error, never silent divergence.
   void save(SnapshotWriter& w) const {

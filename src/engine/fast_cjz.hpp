@@ -55,7 +55,8 @@ class FastCjzSimulator {
   /// Execute the run described by the constructor arguments.
   SimResult run();
 
-  /// Ground-truth trace of the last run (valid after run()).
+  /// Channel-history counters of the last run (valid after run()). Per-slot
+  /// outcomes come from RecordingTier::kFullTrace (SimResult::slot_outcomes).
   const Trace& trace() const { return trace_; }
 
   /// Resident node-table footprint of the last run (valid after run()).

@@ -33,7 +33,8 @@ class GenericSimulator {
 
   SimResult run();
 
-  /// Ground-truth trace of the last run (valid after run()).
+  /// Channel-history counters of the last run (valid after run()). Per-slot
+  /// outcomes come from RecordingTier::kFullTrace (SimResult::slot_outcomes).
   const Trace& trace() const { return trace_; }
 
  private:

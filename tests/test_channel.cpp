@@ -88,6 +88,7 @@ TEST(Channel, Reusable) {
 
 TEST(Trace, RecordsInOrder) {
   Trace trace;
+  EXPECT_TRUE(trace.empty());
   trace.record(resolve_slot(1, 0, false, kNoNode));
   trace.record(resolve_slot(2, 1, false, 11));
   trace.record(resolve_slot(3, 1, true, 12));
@@ -95,20 +96,33 @@ TEST(Trace, RecordsInOrder) {
   EXPECT_EQ(trace.total_successes(), 1u);
   EXPECT_EQ(trace.total_jammed(), 1u);
   EXPECT_EQ(trace.last_success_slot(), 2u);
-  EXPECT_EQ(trace.outcome(2).winner, 11u);
+  // Silent slots skipped in bulk move only the slot count.
+  trace.advance(4);
+  trace.record(resolve_slot(8, 1, false, 13));
+  EXPECT_EQ(trace.slots(), 8u);
+  EXPECT_EQ(trace.total_successes(), 2u);
+  EXPECT_EQ(trace.total_jammed(), 1u);
+  EXPECT_EQ(trace.last_success_slot(), 8u);
+}
+
+TEST(Trace, RejectsOutOfOrderSlot) {
+  Trace trace;
+  trace.record(resolve_slot(1, 0, false, kNoNode));
+  EXPECT_DEATH(trace.record(resolve_slot(3, 0, false, kNoNode)), "CR_CHECK failed");
 }
 
 TEST(PublicHistory, ExposesOnlyPublicView) {
   Trace trace;
   PublicHistory hist(trace);
   EXPECT_EQ(hist.slots(), 0u);
+  EXPECT_EQ(hist.last_success_slot(), 0u) << "0 before any success";
   trace.record(resolve_slot(1, 5, false, kNoNode));   // collision
   trace.record(resolve_slot(2, 0, true, kNoNode));    // jammed silence
+  EXPECT_EQ(hist.slots(), 2u);
+  EXPECT_EQ(hist.total_successes(), 0u) << "collision and jam look the same: no success";
   trace.record(resolve_slot(3, 1, false, 77));        // success
-  EXPECT_EQ(hist.slots(), 3u);
-  EXPECT_EQ(hist.feedback(1), Feedback::kSilenceOrCollision);
-  EXPECT_EQ(hist.feedback(2), Feedback::kSilenceOrCollision);
-  EXPECT_TRUE(hist.was_success(3));
+  trace.record(resolve_slot(4, 1, true, 78));         // jammed lone sender
+  EXPECT_EQ(hist.slots(), 4u);
   EXPECT_EQ(hist.total_successes(), 1u);
   EXPECT_EQ(hist.last_success_slot(), 3u);
 }

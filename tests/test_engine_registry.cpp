@@ -98,5 +98,60 @@ TEST(EngineInterface, AllCompatibleEnginesRunTheSameScenarioShape) {
   }
 }
 
+TEST(EngineInterface, EveryEngineHonoursEveryTier) {
+  // docs/ARCHITECTURE.md, "Recording tiers": every registered engine fills
+  // SimResult::slot_outcomes under kFullTrace — one outcome per simulated
+  // slot, consistent with the aggregate counters — and recording never
+  // moves the trajectory, so the aggregates equal the kNone run's.
+  const std::vector<ProtocolSpec> specs = {
+      cjz_protocol(functions_constant_g(4.0)), profile_protocol(profiles::h_data()),
+      factory_protocol("beb", [] { return windowed_backoff_factory({}); })};
+  const auto run_at = [](const Engine& engine, const ProtocolSpec& spec, RecordingConfig rec) {
+    ComposedAdversary adv(batch_arrival(24, 1), iid_jammer(0.25));
+    SimConfig cfg;
+    cfg.horizon = 8'000;
+    cfg.seed = 61;
+    cfg.recording = rec;
+    return engine.run(spec, adv, cfg);
+  };
+  const auto& registry = EngineRegistry::instance();
+  for (const std::string& name : registry.names()) {
+    const Engine& engine = registry.at(name);
+    int ran = 0;
+    for (const ProtocolSpec& spec : specs) {
+      if (!engine.supports(spec)) continue;
+      ++ran;
+      const std::string tag = name + "/" + spec.label;
+      const SimResult none = run_at(engine, spec, RecordingConfig{});
+      const SimResult full = run_at(engine, spec, RecordingConfig::full_trace());
+      EXPECT_TRUE(none.slot_outcomes.empty()) << tag;
+
+      ASSERT_EQ(full.slot_outcomes.size(), full.slots) << tag;
+      std::uint64_t successes = 0, jammed = 0;
+      for (std::size_t i = 0; i < full.slot_outcomes.size(); ++i) {
+        const SlotOutcome& out = full.slot_outcomes[i];
+        EXPECT_EQ(out.slot, i + 1) << tag;
+        successes += out.success() ? 1 : 0;
+        jammed += out.jammed ? 1 : 0;
+      }
+      EXPECT_EQ(successes, full.successes) << tag;
+      EXPECT_EQ(jammed, full.jammed_slots) << tag;
+      EXPECT_GT(full.successes, 0u) << tag;
+      EXPECT_GT(full.jammed_slots, 0u) << tag;
+
+      EXPECT_EQ(full.slots, none.slots) << tag;
+      EXPECT_EQ(full.arrivals, none.arrivals) << tag;
+      EXPECT_EQ(full.successes, none.successes) << tag;
+      EXPECT_EQ(full.jammed_slots, none.jammed_slots) << tag;
+      EXPECT_EQ(full.active_slots, none.active_slots) << tag;
+      EXPECT_EQ(full.total_sends, none.total_sends) << tag;
+      EXPECT_EQ(full.live_at_end, none.live_at_end) << tag;
+      EXPECT_EQ(full.first_success, none.first_success) << tag;
+      EXPECT_EQ(full.last_success, none.last_success) << tag;
+    }
+    EXPECT_GT(ran, 0) << name << " supports none of the probe specs";
+  }
+}
+
 }  // namespace
 }  // namespace cr
