@@ -66,6 +66,10 @@ struct RegimeCase {
   int regime;  // 0 const, 1 log, 2 exp-sqrt-log
 };
 
+// Print the case by name: gtest's default dumps the raw bytes, which include the
+// address of `name` and so make the listed test name depend on binary layout.
+void PrintTo(const RegimeCase& c, std::ostream* os) { *os << c.name; }
+
 class ThroughputRegime : public ::testing::TestWithParam<RegimeCase> {};
 
 TEST_P(ThroughputRegime, SmoothAdversaryRatioBounded) {
