@@ -51,7 +51,8 @@ int usage(int exit_code) {
                "      --out=DIR      override the manifest's output_dir\n"
                "      --quick        append --quick to every cell\n"
                "      --shard=i/n    run only cells with index %% n == i-1 (1-based)\n"
-               "      --threads=N    per-cell replication workers (default: all cores)\n"
+               "      --threads=N    core budget: up to N cells in flight, each with\n"
+               "                     N replication workers (default: all cores)\n"
                "      --force        rerun cells whose CSV already exists\n"
                "      --cache=DIR    content-addressed CellCache: restore finished\n"
                "                     cells byte-identically instead of recomputing\n"

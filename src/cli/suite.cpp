@@ -3,6 +3,8 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <ctime>
@@ -13,6 +15,7 @@
 #include <random>
 #include <set>
 #include <sstream>
+#include <thread>
 
 #include "cli/bench_registry.hpp"
 #include "common/snapshot.hpp"
@@ -146,29 +149,21 @@ std::string git_head_sha(const std::string& dir) {
 
 namespace {
 
-/// Execute one cell in a forked child so a bench that exits or aborts
-/// (bad flag value hitting CR_CHECK, std::exit in a driver, a crash)
-/// becomes a "failed" status for THAT cell instead of killing the whole
-/// suite run. Cells run sequentially, so no other threads are live at fork
-/// time. Returns the cell's exit code (128+signal on abnormal death,
-/// 126 when fork itself fails).
-int run_cell_isolated(const std::string& bench, const std::vector<std::string>& args) {
+/// Start one cell in a forked child so a bench that exits or aborts (bad
+/// flag value hitting CR_CHECK, std::exit in a driver, a crash) becomes a
+/// "failed" status for THAT cell instead of killing the whole suite run.
+/// Several cells may be in flight at once, but only as child processes: the
+/// parent starts no threads, so no other threads are live at fork time.
+/// Returns the child's pid, or -1 when fork itself fails.
+pid_t run_cell_isolated(const std::string& bench, const std::vector<std::string>& args) {
   const pid_t pid = ::fork();
-  // fork failure (EAGAIN/ENOMEM under CI pressure): report the CELL as
-  // failed rather than falling back to an in-process run, where a bench
-  // abort would kill the whole suite — the exact failure mode this
-  // function exists to contain.
-  if (pid < 0) return 126;
   if (pid == 0) {
     const int rc = BenchRegistry::instance().run(bench, args);
     // _Exit: the CSV ofstream is already closed inside the bench, and the
     // child must not flush stdio buffers it inherited from the parent.
     std::_Exit(rc);
   }
-  int status = 0;
-  ::waitpid(pid, &status, 0);
-  if (WIFEXITED(status)) return WEXITSTATUS(status);
-  return WIFSIGNALED(status) ? 128 + WTERMSIG(status) : 1;
+  return pid;
 }
 
 std::string utc_now() {
@@ -203,11 +198,8 @@ bool read_file_bytes(const std::string& path, std::string* out) {
   return true;
 }
 
-}  // namespace
-
-std::string file_fnv16(const std::string& path) {
-  std::string bytes;
-  if (!read_file_bytes(path, &bytes)) return "";
+/// 16-hex FNV-1a 64 of `bytes`.
+std::string bytes_fnv16(const std::string& bytes) {
   char buf[24];
   std::snprintf(buf, sizeof buf, "%016llx",
                 static_cast<unsigned long long>(fnv1a64(
@@ -215,48 +207,55 @@ std::string file_fnv16(const std::string& path) {
   return buf;
 }
 
-CellRunResult run_cell(const SuiteCell& cell, const CellRunOptions& opts) {
-  namespace fs = std::filesystem;
+/// One cell between its start and its publication. start_cell either
+/// restores it from the cache (no child) or forks it; reap_cell collects a
+/// forked child's CSV; publish_cell renames the CSV into place and stores a
+/// fresh result in the cache. Splitting the cell this way lets run_suite
+/// keep several cells in flight and record each checksum in its manifest
+/// before the CSV lands, while run_cell chains the same three steps.
+struct CellJob {
+  const SuiteCell* cell = nullptr;
+  pid_t pid = -1;  ///< forked child still to reap; -1 when the result is final
+  std::string csv_path;
+  std::string tmp_path;  ///< worker-unique; holds the CSV until publish_cell
+  CellKey key;           ///< cache key, when a cache is configured
+  std::chrono::steady_clock::time_point t0;
+  std::string csv_bytes;  ///< the finished CSV, for the cache store
   CellRunResult result;
-  const std::string csv_path = opts.out_dir + "/" + cell.id + ".csv";
-  const std::string tmp_path = csv_path + unique_tmp_suffix();
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto elapsed = [&t0] {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  };
 
-  CellKey key;
+  double elapsed() const {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  }
+};
+
+CellJob start_cell(const SuiteCell& cell, const CellRunOptions& opts) {
+  CellJob job;
+  job.cell = &cell;
+  job.csv_path = opts.out_dir + "/" + cell.id + ".csv";
+  job.tmp_path = job.csv_path + unique_tmp_suffix();
+  job.t0 = std::chrono::steady_clock::now();
+
   if (opts.cache != nullptr) {
-    key.config_hash = opts.config_hash;
-    key.cell_id = cell.id;
-    key.source_digest = source_digest();
-    key.quick = opts.quick;
-    CacheLookup found = opts.cache->lookup(key);
-    result.cache_note = found.diagnostic;
+    job.key.config_hash = opts.config_hash;
+    job.key.cell_id = cell.id;
+    job.key.source_digest = source_digest();
+    job.key.quick = opts.quick;
+    CacheLookup found = opts.cache->lookup(job.key);
+    job.result.cache_note = found.diagnostic;
     if (found.hit) {
       // Restore through the same tmp+rename protocol as a computed cell so
       // a concurrent reader never sees a partial CSV.
-      std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
+      std::ofstream out(job.tmp_path, std::ios::binary | std::ios::trunc);
       out << found.csv;
       out.flush();
       if (out) {
-        out.close();
-        std::error_code ec;
-        fs::rename(tmp_path, csv_path, ec);
-        if (!ec) {
-          result.status = "hit";
-          result.seconds = elapsed();
-          char buf[24];
-          std::snprintf(buf, sizeof buf, "%016llx",
-                        static_cast<unsigned long long>(
-                            fnv1a64(reinterpret_cast<const std::uint8_t*>(found.csv.data()),
-                                    found.csv.size())));
-          result.csv_fnv = buf;
-          return result;
-        }
+        job.result.status = "hit";
+        job.result.seconds = job.elapsed();
+        job.result.csv_fnv = bytes_fnv16(found.csv);
+        return job;
       }
       std::error_code ec;
-      fs::remove(tmp_path, ec);
+      std::filesystem::remove(job.tmp_path, ec);
       // Restore failed (I/O): fall through and recompute.
     }
   }
@@ -267,38 +266,72 @@ CellRunResult run_cell(const SuiteCell& cell, const CellRunOptions& opts) {
   if (opts.quick) args.push_back("--quick");
   if (opts.threads > 0) args.push_back("--threads=" + std::to_string(opts.threads));
   args.push_back("--quiet");
-  args.push_back("--csv=" + tmp_path);
+  args.push_back("--csv=" + job.tmp_path);
+  job.pid = run_cell_isolated(cell.bench, args);
+  // fork failure (EAGAIN/ENOMEM under CI pressure): report the CELL as
+  // failed rather than falling back to an in-process run, where a bench
+  // abort would kill the whole suite — the exact failure mode the child
+  // exists to contain.
+  if (job.pid < 0) job.result.status = "failed";
+  return job;
+}
 
-  const int rc = run_cell_isolated(cell.bench, args);
-  result.seconds = elapsed();
-  std::string csv_bytes;
-  if (rc == 0 && read_file_bytes(tmp_path, &csv_bytes)) {
-    std::error_code ec;
-    fs::rename(tmp_path, csv_path, ec);
-    if (ec) {
-      fs::remove(tmp_path, ec);
-      result.status = "failed";
-      return result;
-    }
-    result.status = "ok";
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(
-                      fnv1a64(reinterpret_cast<const std::uint8_t*>(csv_bytes.data()),
-                              csv_bytes.size())));
-    result.csv_fnv = buf;
-    if (opts.cache != nullptr) {
-      std::string store_error;
-      if (!opts.cache->store(key, csv_bytes, opts.git_sha, result.seconds, &store_error) &&
-          result.cache_note.empty())
-        result.cache_note = store_error;
-    }
-  } else {
-    std::error_code ec;
-    fs::remove(tmp_path, ec);
-    result.status = "failed";
+/// Collect a forked cell whose child exited with `wait_status`: a clean exit
+/// that left a readable CSV is "ok" with its checksum, anything else is
+/// "failed".
+void reap_cell(CellJob& job, int wait_status) {
+  job.pid = -1;
+  job.result.seconds = job.elapsed();
+  const bool exited_ok = WIFEXITED(wait_status) && WEXITSTATUS(wait_status) == 0;
+  if (exited_ok && read_file_bytes(job.tmp_path, &job.csv_bytes)) {
+    job.result.status = "ok";
+    job.result.csv_fnv = bytes_fnv16(job.csv_bytes);
+    return;
   }
-  return result;
+  std::error_code ec;
+  std::filesystem::remove(job.tmp_path, ec);
+  job.result.status = "failed";
+}
+
+/// Rename a finished cell's CSV into place (a failed rename fails the cell)
+/// and store a freshly computed one in the cache.
+void publish_cell(CellJob& job, const CellRunOptions& opts) {
+  if (job.result.status == "failed") return;
+  std::error_code ec;
+  std::filesystem::rename(job.tmp_path, job.csv_path, ec);
+  if (ec) {
+    std::filesystem::remove(job.tmp_path, ec);
+    job.result.status = "failed";
+    job.result.csv_fnv.clear();
+    return;
+  }
+  if (job.result.status == "ok" && opts.cache != nullptr) {
+    std::string store_error;
+    if (!opts.cache->store(job.key, job.csv_bytes, opts.git_sha, job.result.seconds,
+                           &store_error) &&
+        job.result.cache_note.empty())
+      job.result.cache_note = store_error;
+  }
+}
+
+}  // namespace
+
+std::string file_fnv16(const std::string& path) {
+  std::string bytes;
+  if (!read_file_bytes(path, &bytes)) return "";
+  return bytes_fnv16(bytes);
+}
+
+CellRunResult run_cell(const SuiteCell& cell, const CellRunOptions& opts) {
+  CellJob job = start_cell(cell, opts);
+  if (job.pid > 0) {
+    int status = 0;
+    while (::waitpid(job.pid, &status, 0) < 0 && errno == EINTR) {
+    }
+    reap_cell(job, status);
+  }
+  publish_cell(job, opts);
+  return job.result;
 }
 
 PriorOutputs scan_prior_outputs(const std::string& out_dir, const std::string& config_hash,
@@ -622,16 +655,23 @@ int run_suite(const SuiteSpec& spec, const SuiteRunOptions& opts, std::ostream& 
                     std::to_string(opts.shard.count) + ".json";
   const std::string started = utc_now();
   const std::string git_sha = git_head_sha(spec.source_dir);
-  // Run manifest: provenance for the CSVs sitting next to it. Written once
-  // up front (all in-shard cells "pending") so even a killed run leaves a
-  // record of what configuration produced the outputs, and rewritten with
-  // final statuses at the end. Sharded runs write distinct manifests (the
-  // CSV set is the part that must be bit-identical to an unsharded run;
-  // manifests record each shard's view). Each finished cell records its CSV
-  // checksum (csv_fnv) so resume and `cr suite merge` can validate outputs
-  // instead of trusting any same-named file.
+  const auto suite_t0 = std::chrono::steady_clock::now();
+  const auto suite_seconds = [&suite_t0] {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - suite_t0).count();
+  };
+  // Run manifest: provenance for the CSVs sitting next to it. Written up
+  // front (in-shard cells "pending", resumed ones "cached") so even a killed
+  // run leaves a record of what configuration produced the outputs, then
+  // rewritten atomically (tmp + rename) as each cell finishes — BEFORE its
+  // CSV is renamed into place, so at every instant each CSV on disk has its
+  // checksum (csv_fnv) recorded and resume and `cr suite merge` can validate
+  // it instead of trusting any same-named file. Sharded runs write distinct
+  // manifests (the CSV set is the part that must be bit-identical to an
+  // unsharded run; manifests record each shard's view). Cells are listed in
+  // expansion order whatever order they finish in.
   const auto write_manifest = [&](double wall) {
-    std::ofstream manifest(manifest_path);
+    const std::string tmp_path = manifest_path + unique_tmp_suffix();
+    std::ofstream manifest(tmp_path);
     manifest << "{\n"
              << "  \"suite\": \"" << json_escape(spec.name) << "\",\n"
              << "  \"description\": \"" << json_escape(spec.description) << "\",\n"
@@ -654,8 +694,18 @@ int run_suite(const SuiteSpec& spec, const SuiteRunOptions& opts, std::ostream& 
                << (i + 1 < outcomes.size() ? "," : "") << "\n";
     }
     manifest << "  ]\n}\n";
+    manifest.close();
+    // A failed write keeps the previous manifest rather than a torn one.
+    std::error_code ec;
+    if (manifest) fs::rename(tmp_path, manifest_path, ec);
+    if (!manifest || ec) fs::remove(tmp_path, ec);
+  };
+  const auto log_cell = [&](const SuiteCell& cell) -> std::ostream& {
+    return log << "  [" << cell.index + 1 << "/" << cells.size() << "] " << cell.id << ": ";
   };
 
+  int failures = 0;
+  std::size_t ran = 0, resumed = 0, hits = 0;
   PriorOutputs prior;
   if (!opts.dry_run) {
     fs::create_directories(outdir);
@@ -674,6 +724,31 @@ int run_suite(const SuiteSpec& spec, const SuiteRunOptions& opts, std::ostream& 
         return 1;
       }
     }
+    // Resume path, settled before the first manifest write so that write
+    // already records every CSV left on disk. Do not trust a same-named CSV
+    // blindly: when a prior manifest recorded this cell's checksum, the
+    // bytes on disk must still match it — a truncated or hand-edited file
+    // reruns instead of poisoning the result set. Under --force every
+    // in-shard CSV goes, since each of those cells reruns anyway.
+    for (CellOutcome& outcome : outcomes) {
+      const std::string csv_path = outdir + "/" + outcome.cell->id + ".csv";
+      if (outcome.status != "pending" || !fs::exists(csv_path)) continue;
+      if (!opts.force) {
+        const std::string on_disk = file_fnv16(csv_path);
+        const auto recorded = prior.cell_csv_fnv.find(outcome.cell->id);
+        if (!on_disk.empty() &&
+            (recorded == prior.cell_csv_fnv.end() || recorded->second == on_disk)) {
+          outcome.status = "cached";
+          outcome.csv_fnv = on_disk;
+          ++resumed;
+          log_cell(*outcome.cell) << "cached\n";
+          continue;
+        }
+        log_cell(*outcome.cell) << "existing CSV fails its recorded checksum — rerunning\n";
+      }
+      std::error_code ec;
+      fs::remove(csv_path, ec);
+    }
     write_manifest(0.0);
   }
   CellCache cache(opts.cache_dir);
@@ -686,70 +761,84 @@ int run_suite(const SuiteSpec& spec, const SuiteRunOptions& opts, std::ostream& 
   cell_opts.config_hash = config_hash;
   cell_opts.git_sha = git_sha;
 
-  const auto suite_t0 = std::chrono::steady_clock::now();
-  int failures = 0;
-  std::size_t ran = 0, resumed = 0, hits = 0;
-
-  for (const SuiteCell& cell : cells) {
-    CellOutcome& outcome = outcomes[cell.index];
-    const std::string csv_path = outdir + "/" + cell.id + ".csv";
-    if (!cell_in_shard(cell.index, opts.shard)) continue;
-
-    if (opts.dry_run) {
-      outcome.status = "planned";
-      log << "  [" << cell.index + 1 << "/" << cells.size() << "] " << cell.id << ": "
-          << cell.bench;
-      for (const auto& [key, value] : cell.flags) log << " --" << key << "=" << value;
-      if (cell.has_seed) log << " --seed=" << cell.seed;
-      if (opts.quick) log << " --quick";
-      if (opts.threads > 0) log << " --threads=" << opts.threads;
-      log << " --quiet --csv=" << csv_path << "\n";
-      continue;
-    }
-
-    if (!opts.force && fs::exists(csv_path)) {
-      // Resume path: do not trust a same-named CSV blindly. When a prior
-      // manifest recorded this cell's checksum, the bytes on disk must
-      // still match it — a truncated or hand-edited file reruns instead of
-      // poisoning the result set.
-      const std::string on_disk = file_fnv16(csv_path);
-      const auto recorded = prior.cell_csv_fnv.find(cell.id);
-      const bool valid =
-          !on_disk.empty() &&
-          (recorded == prior.cell_csv_fnv.end() || recorded->second == on_disk);
-      if (valid) {
-        outcome.status = "cached";
-        outcome.csv_fnv = on_disk;
-        ++resumed;
-        log << "  [" << cell.index + 1 << "/" << cells.size() << "] " << cell.id
-            << ": cached\n";
-        continue;
-      }
-      log << "  [" << cell.index + 1 << "/" << cells.size() << "] " << cell.id
-          << ": existing CSV fails its recorded checksum — rerunning\n";
-      std::error_code ec;
-      fs::remove(csv_path, ec);
-    }
-
-    const CellRunResult result = run_cell(cell, cell_opts);
-    if (!result.cache_note.empty())
-      log << "  [cache] " << result.cache_note << "\n";
-    outcome.status = result.status;
-    outcome.seconds = result.seconds;
-    outcome.csv_fnv = result.csv_fnv;
-    if (result.status == "failed") {
+  // Record a finished cell in the manifest, then publish its CSV. A cell
+  // whose publication fails is recorded again as failed.
+  const auto finish = [&](CellJob& job) {
+    CellOutcome& outcome = outcomes[job.cell->index];
+    const auto record = [&] {
+      outcome.status = job.result.status;
+      outcome.seconds = job.result.seconds;
+      outcome.csv_fnv = job.result.csv_fnv;
+      write_manifest(suite_seconds());
+    };
+    record();
+    publish_cell(job, cell_opts);
+    if (job.result.status != outcome.status) record();
+    if (!job.result.cache_note.empty()) log << "  [cache] " << job.result.cache_note << "\n";
+    if (outcome.status == "failed") {
       ++failures;
-    } else if (result.status == "hit") {
+    } else if (outcome.status == "hit") {
       ++hits;
     } else {
       ++ran;
     }
-    log << "  [" << cell.index + 1 << "/" << cells.size() << "] " << cell.id << ": "
-        << outcome.status << " (" << format_double(outcome.seconds, 2) << "s" << ")\n";
-  }
+    log_cell(*job.cell) << outcome.status << " (" << format_double(outcome.seconds, 2)
+                        << "s)\n";
+  };
 
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - suite_t0).count();
+  // Core budget: up to `threads` cells in flight (all cores when 0), each
+  // still passed the same --threads. Rule 2 makes the CSVs independent of
+  // how cells overlap; the parent reaps whichever child exits first.
+  const std::size_t max_in_flight =
+      opts.threads > 0 ? static_cast<std::size_t>(opts.threads)
+                       : std::max(1u, std::thread::hardware_concurrency());
+  std::map<pid_t, CellJob> in_flight;
+  const auto reap_one = [&] {
+    int status = 0;
+    const pid_t pid = ::waitpid(-1, &status, 0);
+    if (pid < 0) {
+      if (errno == EINTR) return;
+      // No child left to wait for (SIGCHLD ignored: the kernel reaped them),
+      // so no exit status is known: every cell still in flight failed.
+      for (auto& [child, job] : in_flight) {
+        reap_cell(job, /*wait_status=*/-1);
+        finish(job);
+      }
+      in_flight.clear();
+      return;
+    }
+    const auto it = in_flight.find(pid);
+    if (it == in_flight.end()) return;  // not one of this run's cells
+    reap_cell(it->second, status);
+    finish(it->second);
+    in_flight.erase(it);
+  };
+
+  for (const SuiteCell& cell : cells) {
+    CellOutcome& outcome = outcomes[cell.index];
+    if (outcome.status != "pending") continue;  // other shard, or resumed
+
+    if (opts.dry_run) {
+      outcome.status = "planned";
+      log_cell(cell) << cell.bench;
+      for (const auto& [key, value] : cell.flags) log << " --" << key << "=" << value;
+      if (cell.has_seed) log << " --seed=" << cell.seed;
+      if (opts.quick) log << " --quick";
+      if (opts.threads > 0) log << " --threads=" << opts.threads;
+      log << " --quiet --csv=" << outdir << "/" << cell.id << ".csv\n";
+      continue;
+    }
+
+    while (in_flight.size() >= max_in_flight) reap_one();
+    CellJob job = start_cell(cell, cell_opts);
+    if (job.pid > 0)
+      in_flight.emplace(job.pid, std::move(job));
+    else
+      finish(job);
+  }
+  while (!in_flight.empty()) reap_one();
+
+  const double wall = suite_seconds();
   if (opts.dry_run) {
     log << "dry run: nothing executed\n";
     return 0;

@@ -24,8 +24,11 @@
 /// each cell in a forked child (`--quiet --csv=<output_dir>/<cell id>.csv`)
 /// — so a cell that exits or aborts (e.g. a type-invalid flag value hitting
 /// CR_CHECK) is recorded as "failed" and the remaining cells still run —
-/// fanning the cell's replications across the PR-2 thread pool. Three
-/// properties the tests pin down:
+/// fanning the cell's replications across the harness thread pool.
+/// `--threads=N` is the run's core budget: up to N cells are in flight at
+/// once (all cores when 0), each passed the same --threads=N; the CSVs do
+/// not depend on N (determinism rule 2). Four properties the tests pin
+/// down:
 ///
 ///   * deterministic sharding — `--shard i/n` partitions cells by
 ///     expansion index (index % n == i-1): the n shards are disjoint, cover
@@ -37,7 +40,11 @@
 ///   * provenance — a run manifest (JSON) is written next to the CSVs with
 ///     the git SHA, a config hash over the FULL expansion (shard-independent,
 ///     so shards of the same suite can be matched up), wall-clock timings and
-///     the per-cell status.
+///     the per-cell status, cells in expansion order;
+///   * kill safety — the manifest is rewritten atomically as each cell
+///     finishes, before that cell's CSV is renamed into place, so a killed
+///     run leaves a checksum for every CSV on disk and resume revalidates
+///     each one.
 #pragma once
 
 #include <cstdint>
@@ -125,7 +132,9 @@ struct SuiteRunOptions {
   bool quick = false;      ///< append --quick to every cell
   ShardSpec shard;
   bool force = false;          ///< rerun cells whose CSV already exists
-  std::int64_t threads = 0;    ///< per-cell --threads; 0 = bench default (all cores)
+  /// Core budget: cells in flight, and each cell's --threads; 0 = all cores
+  /// in flight, bench default per cell.
+  std::int64_t threads = 0;
   bool dry_run = false;        ///< print the plan, run nothing, write nothing
   std::string cache_dir;       ///< CellCache directory; empty = no cache
 };
@@ -153,12 +162,14 @@ struct CellRunResult {
   std::string cache_note;  ///< non-empty when a corrupt cache entry was rejected
 };
 
-/// Execute one cell: consult the cache (when configured), otherwise run the
-/// bench in a forked child writing to a WORKER-UNIQUE tmp path
-/// (<csv>.tmp-<pid>-<random>), then atomically rename into place — two
+/// Execute one cell and wait for it: consult the cache (when configured),
+/// otherwise run the bench in a forked child writing to a WORKER-UNIQUE tmp
+/// path (<csv>.tmp-<pid>-<random>), then atomically rename into place — two
 /// workers racing the same out_dir can never observe each other's partial
 /// writes. A fresh result is stored back into the cache. A cache hit
 /// restores the CSV byte-identically to recomputation (determinism rule 9).
+/// run_suite runs the same start / reap / publish steps with several cells
+/// in flight.
 CellRunResult run_cell(const SuiteCell& cell, const CellRunOptions& opts);
 
 /// What an output directory already contains, per its manifest*.json files.

@@ -19,20 +19,23 @@ void parallel_for_reps(int reps, int threads, const std::function<void(int)>& bo
   }
   // Work-stealing by atomic counter: replications have uneven cost (early
   // stopping, adversary-dependent horizons), so static striping would leave
-  // workers idle. Indices are handed out in contiguous blocks rather than
-  // one at a time — callers write results[r] for the indices they ran, and
-  // interleaved single-index stealing puts adjacent workers' stores on the
-  // same cache line (false sharing measurably throttles short runs, where
-  // the store traffic is a visible fraction of the work). Each index still
-  // runs exactly once and the output does not depend on which worker ran it
-  // (results are stored by index).
-  constexpr int kBlock = 8;
+  // workers idle. Large sweeps hand out contiguous blocks of 8 indices —
+  // callers write results[r] for the indices they ran, and interleaved
+  // single-index stealing puts adjacent workers' stores on the same cache
+  // line (false sharing measurably throttles short runs, where the store
+  // traffic is a visible fraction of the work). Below 32 indices per worker
+  // a block of 8 would leave workers with nothing to take (2 reps on 4
+  // threads ran on one), so indices go out one at a time and min(reps,
+  // threads) workers are always busy. Each index still runs exactly once
+  // and the output does not depend on which worker ran it (results are
+  // stored by index).
+  const int block = reps / 32 < threads ? 1 : 8;  // reps < 32 * threads, overflow-free
   std::atomic<int> next_block{0};
   auto worker = [&] {
     for (;;) {
-      const int lo = next_block.fetch_add(kBlock);
+      const int lo = next_block.fetch_add(block);
       if (lo >= reps) return;
-      const int hi = lo + kBlock < reps ? lo + kBlock : reps;
+      const int hi = lo + block < reps ? lo + block : reps;
       for (int r = lo; r < hi; ++r) body(r);
     }
   };

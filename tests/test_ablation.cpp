@@ -65,6 +65,10 @@ struct VariantCase {
   CjzOptions opts;
 };
 
+// Print the case by name: gtest's default dumps the raw bytes, which include the
+// address of `name` and so make the listed test name depend on binary layout.
+void PrintTo(const VariantCase& c, std::ostream* os) { *os << c.name; }
+
 class VariantDrains : public ::testing::TestWithParam<VariantCase> {};
 
 TEST_P(VariantDrains, FastEngineDrainsBatchUnderJamming) {

@@ -3,6 +3,11 @@
 
 #include "exp/harness.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <thread>
+
 namespace cr {
 namespace {
 
@@ -50,6 +55,30 @@ TEST(Harness, ParallelReplicateMatchesSerial) {
     const auto parallel = replicate(17, 10, fake_result, threads);
     ASSERT_EQ(parallel.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i) EXPECT_EQ(parallel[i], serial[i]);
+  }
+}
+
+TEST(Harness, SmallRepCountsFillEveryWorker) {
+  // Each body waits until min(reps, threads) bodies have been in flight at
+  // once. If the pool hands fewer workers an index, the shared deadline
+  // releases the waiters and the recorded peak falls short: the test fails
+  // instead of hanging.
+  constexpr int kThreads = 4;
+  for (const int reps : {2, 3, 8, 16}) {
+    const int want = std::min(reps, kThreads);
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    std::atomic<int> in_flight{0};
+    std::atomic<int> peak{0};
+    detail::parallel_for_reps(reps, kThreads, [&](int) {
+      const int now = in_flight.fetch_add(1) + 1;
+      int seen = peak.load();
+      while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+      }
+      while (peak.load() < want && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      in_flight.fetch_sub(1);
+    });
+    EXPECT_EQ(peak.load(), want) << "reps=" << reps << " threads=" << kThreads;
   }
 }
 

@@ -6,13 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "cli/bench_registry.hpp"
 #include "common/json.hpp"
@@ -214,9 +219,10 @@ class SuiteRunTest : public ::testing::Test {
     return opts;
   }
 
-  std::map<std::string, std::string> csv_contents() const {
+  std::map<std::string, std::string> csv_contents() const { return csv_contents(dir_); }
+  static std::map<std::string, std::string> csv_contents(const fs::path& dir) {
     std::map<std::string, std::string> out;
-    for (const auto& entry : fs::directory_iterator(dir_)) {
+    for (const auto& entry : fs::directory_iterator(dir)) {
       if (entry.path().extension() != ".csv") continue;
       std::ifstream in(entry.path());
       std::stringstream buf;
@@ -350,6 +356,123 @@ TEST_F(SuiteRunTest, FailedCellIsIsolatedAndRemainingCellsStillRun) {
   ASSERT_TRUE(manifest.ok()) << manifest.error;
   EXPECT_EQ(manifest.value->find("cells")->items()[0]->find("status")->as_string(), "failed");
   EXPECT_EQ(manifest.value->find("cells")->items()[1]->find("status")->as_string(), "ok");
+}
+
+TEST_F(SuiteRunTest, ConcurrentCellsMatchSequentialRun) {
+  // The fixture's cells, the deliberately failing one and a few more, run
+  // with one cell at a time and with four in flight: the same bytes, the
+  // same statuses, the manifest in expansion order, and the shard union
+  // still the unsharded run.
+  const auto loaded = parse(R"({"name": "tiny", "defaults": {"reps": 1},
+      "cells": [
+        {"bench": "scenario",
+         "grid": {"scenario": ["batch"], "horizon": [512], "n": [16], "jam": [0.0, 0.5]},
+         "seeds": [3]},
+        {"bench": "scenario", "grid": {"horizon": ["junk"], "n": [16]}},
+        {"bench": "scenario", "grid": {"horizon": [512], "n": [16], "jam": [0.0, 0.25]},
+         "seeds": [4, 5]}]})");
+  ASSERT_TRUE(loaded.ok()) << loaded.error;
+  const std::vector<SuiteCell> cells = expand_suite(loaded.spec);
+  ASSERT_EQ(cells.size(), 7u);
+  constexpr std::size_t kFailing = 2;
+  ASSERT_EQ(cells[kFailing].id, "scenario__horizon-junk__n-16__seed-default");
+
+  std::map<int, std::map<std::string, std::string>> csvs;
+  for (const int threads : {1, 4}) {
+    const fs::path out = dir_ / ("threads-" + std::to_string(threads));
+    SuiteRunOptions opts = options();
+    opts.output_dir = out.string();
+    opts.threads = threads;
+    std::ostringstream log;
+    EXPECT_EQ(run_suite(loaded.spec, opts, log), 1) << log.str();
+    EXPECT_NE(log.str().find("6 ran, 0 cached, 0 cache hits, 1 failed"), std::string::npos)
+        << log.str();
+    EXPECT_NE(log.str().find("[3/7] " + cells[kFailing].id + ": failed"), std::string::npos)
+        << log.str();
+    csvs[threads] = csv_contents(out);
+    EXPECT_EQ(csvs[threads].size(), cells.size() - 1) << "threads=" << threads;
+
+    const auto manifest = JsonValue::parse_file((out / "manifest.json").string());
+    ASSERT_TRUE(manifest.ok()) << manifest.error;
+    const auto& listed = manifest.value->find("cells")->items();
+    ASSERT_EQ(listed.size(), cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      EXPECT_EQ(listed[i]->find("id")->as_string(), cells[i].id) << "threads=" << threads;
+      EXPECT_EQ(listed[i]->find("status")->as_string(), i == kFailing ? "failed" : "ok")
+          << cells[i].id << " threads=" << threads;
+    }
+  }
+  EXPECT_EQ(csvs[4], csvs[1]);
+
+  // Shards at four cells in flight: disjoint, and together the unsharded run.
+  const fs::path sharded = dir_ / "sharded";
+  for (int index = 1; index <= 2; ++index) {
+    SuiteRunOptions opts = options();
+    opts.output_dir = sharded.string();
+    opts.threads = 4;
+    opts.shard = ShardSpec{index, 2};
+    std::ostringstream log;
+    run_suite(loaded.spec, opts, log);
+  }
+  EXPECT_EQ(csv_contents(sharded), csvs[1]);
+}
+
+TEST_F(SuiteRunTest, KilledRunLeavesChecksummedResumableState) {
+  // Kill the runner (and its cells) as soon as the first CSV lands: the
+  // manifest rewritten after every finished cell must already carry the
+  // checksum of every CSV on disk, so resume validates each one.
+  const auto loaded = parse(R"({"name": "tiny", "defaults": {"reps": 1},
+      "cells": [{"bench": "scenario",
+                 "grid": {"scenario": ["batch"], "horizon": [4096], "n": [64],
+                          "jam": [0.0, 0.25, 0.5]},
+                 "seeds": [3, 4, 5]}]})");
+  ASSERT_TRUE(loaded.ok()) << loaded.error;
+  fs::create_directories(dir_);
+  const auto csv_on_disk = [this] {
+    for (const auto& entry : fs::directory_iterator(dir_))
+      if (entry.path().extension() == ".csv") return true;
+    return false;
+  };
+
+  const pid_t runner = ::fork();
+  ASSERT_GE(runner, 0);
+  if (runner == 0) {
+    ::setpgid(0, 0);  // one process group: the runner and every cell it forks
+    std::ostringstream log;
+    std::_Exit(run_suite(loaded.spec, options(), log));
+  }
+  ::setpgid(runner, runner);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!csv_on_disk() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ::kill(-runner, SIGKILL);
+  int status = 0;
+  ::waitpid(runner, &status, 0);
+  ASSERT_TRUE(csv_on_disk()) << "no cell finished within the deadline";
+
+  const auto manifest = JsonValue::parse_file((dir_ / "manifest.json").string());
+  ASSERT_TRUE(manifest.ok()) << manifest.error;
+  std::map<std::string, std::string> recorded;
+  for (const auto& cell : manifest.value->find("cells")->items())
+    if (cell->find("csv_fnv")->is_string())
+      recorded[cell->find("id")->as_string() + ".csv"] = cell->find("csv_fnv")->as_string();
+  const auto finished = csv_contents();
+  for (const auto& [name, bytes] : finished) {
+    ASSERT_EQ(recorded.count(name), 1u) << name << " has no recorded checksum";
+    EXPECT_EQ(recorded[name], file_fnv16((dir_ / name).string())) << name;
+  }
+
+  // Corrupt one finished CSV: resume reruns it and restores its bytes.
+  const std::string victim = finished.begin()->first;
+  std::ofstream(dir_ / victim, std::ios::app) << "tampered\n";
+  std::ostringstream log;
+  EXPECT_EQ(run_suite(loaded.spec, options(), log), 0) << log.str();
+  EXPECT_NE(log.str().find(victim.substr(0, victim.size() - 4) +
+                           ": existing CSV fails its recorded checksum — rerunning"),
+            std::string::npos)
+      << log.str();
+  EXPECT_EQ(csv_contents().at(victim), finished.at(victim));
+  EXPECT_EQ(csv_contents().size(), 9u);
 }
 
 TEST_F(SuiteRunTest, DryRunExecutesNothing) {
