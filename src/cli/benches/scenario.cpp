@@ -140,19 +140,10 @@ int run(int argc, const char* const* argv) {
   out << "S1: scenario \"" << scenario_name << "\" at one parameter point, engine "
       << engine_used << ", means over " << reps << " seeds\n\n";
 
-  // The lockstep engine replicates through the many-seed sweep path (one
-  // lockstep pass over all seeds, quiescent tails skipped analytically);
-  // scalar engines keep the classic one-run-per-seed harness loop.
-  const auto results =
-      engine_used == "lockstep"
-          ? replicate_scenario(engine, scenario_name, params, reps, driver.seed(50000),
-                               driver.threads())
-          : driver.replicate(reps, driver.seed(50000), [&](std::uint64_t s) {
-              ScenarioParams p = params;
-              p.seed = s;
-              Scenario sc = ScenarioRegistry::instance().build(scenario_name, p);
-              return run_scenario(engine, sc);
-            });
+  // replicate_scenario picks the lockstep sweep path or the per-seed harness
+  // loop from the engine.
+  const auto results = replicate_scenario(engine, scenario_name, params, reps,
+                                          driver.seed(50000), driver.threads());
 
   const auto slots =
       collect(results, [](const SimResult& r) { return static_cast<double>(r.slots); });

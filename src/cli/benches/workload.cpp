@@ -111,18 +111,10 @@ int run(int argc, const char* const* argv) {
       << spec.protocol << ", engine " << engine->name() << ", means over " << reps
       << " seeds\n\n";
 
-  // The lockstep engine replicates through the many-seed sweep path (one
-  // lockstep pass over all seeds, quiescent tails skipped analytically);
-  // scalar engines keep the classic one-run-per-seed harness loop.
+  // replicate_workload picks the lockstep sweep path or the per-seed harness
+  // loop from the engine.
   const auto results =
-      engine->name() == "lockstep"
-          ? replicate_workload(*engine, spec, reps, driver.seed(60000), driver.threads())
-          : driver.replicate(reps, driver.seed(60000), [&](std::uint64_t s) {
-              WorkloadSpec per_run = spec;
-              per_run.seed = s;
-              Scenario sc = build_workload(per_run);
-              return run_scenario(*engine, sc);
-            });
+      replicate_workload(*engine, spec, reps, driver.seed(60000), driver.threads());
 
   const auto slots =
       collect(results, [](const SimResult& r) { return static_cast<double>(r.slots); });

@@ -10,10 +10,8 @@
 //   cr suite expand <manifest> […]     print the cell plan, run nothing
 //   cr help                            this text
 //
-// Subsumes the 12 former bench_* binaries (still built as thin wrappers —
-// see the migration table in README.md) behind the BenchRegistry, so new
-// experiments, their docs and their suite cells all come from one
-// registration.
+// Every experiment is a BenchRegistry entry, so new experiments, their docs
+// and their suite cells all come from one registration.
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -26,7 +24,6 @@
 #include "common/source_digest.hpp"
 #include "dist/cell_cache.hpp"
 #include "dist/merge.hpp"
-#include "dist/worker.hpp"
 #include "verify/verify.hpp"
 
 namespace {
@@ -58,14 +55,8 @@ int usage(int exit_code) {
                "                     cells byte-identically instead of recomputing\n"
                "  cr suite expand <manifest> [--shard=i/n] [--quick] [--out=DIR]\n"
                "                                      print the cell plan, run nothing\n"
-               "  cr suite work <manifest> [flags...] cooperative worker: claim cells via\n"
-               "                                      atomic lease files so N concurrent\n"
-               "                                      workers drain one suite together\n"
-               "      --out=DIR --cache=DIR --quick --threads=N as for run\n"
-               "      --stale_after=SECS  treat foreign-host leases older than SECS as\n"
-               "                     dead (same-host dead PIDs are always reclaimed)\n"
                "  cr suite merge <manifest...> [--out=PATH]\n"
-               "                                      union shard/worker run manifests\n"
+               "                                      union per-shard run manifests\n"
                "                                      (matching config required; cell\n"
                "                                      checksum conflicts are hard errors)\n"
                "                                      into the manifest cr verify reads\n"
@@ -125,12 +116,8 @@ int run_list(int argc, const char* const* argv) {
 }
 
 int run_suite_cmd(const std::string& sub, int argc, const char* const* argv) {
-  const bool is_work = sub == "work";
   const cr::Cli cli(argc, argv);
-  if (is_work)
-    cli.declare({"out", "quick", "threads", "cache", "stale_after"});
-  else
-    cli.declare({"out", "quick", "shard", "threads", "force", "cache"});
+  cli.declare({"out", "quick", "shard", "threads", "force", "cache"});
   cli.reject_unknown();
   cr::SuiteRunOptions opts;
   // Cli's `--name value` rule means a bare boolean written BEFORE the
@@ -148,7 +135,7 @@ int run_suite_cmd(const std::string& sub, int argc, const char* const* argv) {
     return true;
   };
   opts.quick = take_bool("quick");
-  opts.force = !is_work && take_bool("force");
+  opts.force = take_bool("force");
   if (paths.size() != 1) {
     std::fprintf(stderr, "cr suite %s: exactly one manifest path is required\n", sub.c_str());
     return 2;
@@ -165,19 +152,6 @@ int run_suite_cmd(const std::string& sub, int argc, const char* const* argv) {
   if (cli.has("threads") && opts.threads < 1) {
     std::fprintf(stderr, "cr suite %s: --threads must be >= 1\n", sub.c_str());
     return 2;
-  }
-  if (is_work) {
-    cr::WorkerOptions worker;
-    worker.output_dir = opts.output_dir;
-    worker.cache_dir = opts.cache_dir;
-    worker.quick = opts.quick;
-    worker.threads = opts.threads;
-    worker.stale_after_seconds = cli.get_double("stale_after", 0.0);
-    if (worker.stale_after_seconds < 0.0) {
-      std::fprintf(stderr, "cr suite work: --stale_after must be >= 0\n");
-      return 2;
-    }
-    return cr::run_worker(loaded.spec, worker, std::cout);
   }
   const std::string shard = cli.get_string("shard", "");
   if (!shard.empty() && !cr::parse_shard(shard, &opts.shard)) {
@@ -300,8 +274,8 @@ int main(int argc, char** argv) {
   if (cmd == "suite") {
     const std::string sub = argc >= 3 ? argv[2] : "";
     if (sub == "merge") return run_suite_merge_cmd(argc - 2, argv + 2);
-    if (sub != "run" && sub != "expand" && sub != "work") {
-      std::fprintf(stderr, "cr suite: expected \"run\", \"expand\", \"work\" or \"merge\"\n");
+    if (sub != "run" && sub != "expand") {
+      std::fprintf(stderr, "cr suite: expected \"run\", \"expand\" or \"merge\"\n");
       return 2;
     }
     return run_suite_cmd(sub, argc - 2, argv + 2);

@@ -175,8 +175,8 @@ std::string utc_now() {
   return buf;
 }
 
-/// Worker-unique tmp suffix (PID + random hex): two workers racing the same
-/// out_dir — or the same process writing twice — never collide on a tmp
+/// Process-unique tmp suffix (PID + random hex): concurrent shards sharing
+/// one out_dir — or the same process writing twice — never collide on a tmp
 /// path, so nobody can rename someone else's partial write into place.
 std::string unique_tmp_suffix() {
   static thread_local std::mt19937_64 gen(
@@ -207,17 +207,38 @@ std::string bytes_fnv16(const std::string& bytes) {
   return buf;
 }
 
+/// How run_suite executes each cell.
+struct CellRunOptions {
+  std::string out_dir;  ///< where <cell id>.csv lands
+  bool quick = false;
+  std::int64_t threads = 0;     ///< 0 = bench default
+  CellCache* cache = nullptr;   ///< optional content-addressed result cache
+  std::string config_hash;      ///< suite_config_hash; required when cache set
+  std::string git_sha;          ///< audit metadata for cache stores
+};
+
+/// Outcome of one cell.
+struct CellRunResult {
+  std::string status;      ///< "ok" (computed) | "hit" (cache) | "failed"
+  double seconds = 0.0;
+  std::string csv_fnv;     ///< 16-hex FNV-1a of the CSV bytes; empty on failure
+  std::string cache_note;  ///< non-empty when a corrupt cache entry was rejected
+};
+
 /// One cell between its start and its publication. start_cell either
 /// restores it from the cache (no child) or forks it; reap_cell collects a
 /// forked child's CSV; publish_cell renames the CSV into place and stores a
 /// fresh result in the cache. Splitting the cell this way lets run_suite
 /// keep several cells in flight and record each checksum in its manifest
-/// before the CSV lands, while run_cell chains the same three steps.
+/// before the CSV lands. A cache hit restores the CSV byte-identically to
+/// recomputation (determinism rule 9), and every CSV reaches its final path
+/// only by renaming a process-unique tmp file, so concurrent shards sharing
+/// one out_dir never observe each other's partial writes.
 struct CellJob {
   const SuiteCell* cell = nullptr;
   pid_t pid = -1;  ///< forked child still to reap; -1 when the result is final
   std::string csv_path;
-  std::string tmp_path;  ///< worker-unique; holds the CSV until publish_cell
+  std::string tmp_path;  ///< process-unique; holds the CSV until publish_cell
   CellKey key;           ///< cache key, when a cache is configured
   std::chrono::steady_clock::time_point t0;
   std::string csv_bytes;  ///< the finished CSV, for the cache store
@@ -320,18 +341,6 @@ std::string file_fnv16(const std::string& path) {
   std::string bytes;
   if (!read_file_bytes(path, &bytes)) return "";
   return bytes_fnv16(bytes);
-}
-
-CellRunResult run_cell(const SuiteCell& cell, const CellRunOptions& opts) {
-  CellJob job = start_cell(cell, opts);
-  if (job.pid > 0) {
-    int status = 0;
-    while (::waitpid(job.pid, &status, 0) < 0 && errno == EINTR) {
-    }
-    reap_cell(job, status);
-  }
-  publish_cell(job, opts);
-  return job.result;
 }
 
 PriorOutputs scan_prior_outputs(const std::string& out_dir, const std::string& config_hash,

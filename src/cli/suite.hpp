@@ -58,8 +58,6 @@
 
 namespace cr {
 
-class CellCache;  // src/dist/cell_cache.hpp
-
 /// One expanded grid point: a single bench invocation.
 struct SuiteCell {
   std::size_t index = 0;  ///< position in the full expansion (sharding key)
@@ -142,35 +140,6 @@ struct SuiteRunOptions {
 /// Execute (or, with dry_run, print) the suite. Progress goes to `log`.
 /// Returns 0 when every cell succeeded, 1 when any failed.
 int run_suite(const SuiteSpec& spec, const SuiteRunOptions& opts, std::ostream& log);
-
-/// Options for executing ONE cell (the unit both `cr suite run` and the
-/// `cr suite work` worker loop share).
-struct CellRunOptions {
-  std::string out_dir;  ///< where <cell id>.csv lands
-  bool quick = false;
-  std::int64_t threads = 0;     ///< 0 = bench default
-  CellCache* cache = nullptr;   ///< optional content-addressed result cache
-  std::string config_hash;      ///< suite_config_hash; required when cache set
-  std::string git_sha;          ///< audit metadata for cache stores
-};
-
-/// Outcome of run_cell.
-struct CellRunResult {
-  std::string status;      ///< "ok" (computed) | "hit" (cache) | "failed"
-  double seconds = 0.0;
-  std::string csv_fnv;     ///< 16-hex FNV-1a of the CSV bytes; empty on failure
-  std::string cache_note;  ///< non-empty when a corrupt cache entry was rejected
-};
-
-/// Execute one cell and wait for it: consult the cache (when configured),
-/// otherwise run the bench in a forked child writing to a WORKER-UNIQUE tmp
-/// path (<csv>.tmp-<pid>-<random>), then atomically rename into place — two
-/// workers racing the same out_dir can never observe each other's partial
-/// writes. A fresh result is stored back into the cache. A cache hit
-/// restores the CSV byte-identically to recomputation (determinism rule 9).
-/// run_suite runs the same start / reap / publish steps with several cells
-/// in flight.
-CellRunResult run_cell(const SuiteCell& cell, const CellRunOptions& opts);
 
 /// What an output directory already contains, per its manifest*.json files.
 struct PriorOutputs {

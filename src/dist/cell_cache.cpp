@@ -71,7 +71,7 @@ std::string utc_now_stamp() {
   return buf;
 }
 
-/// Worker-unique scratch name: PID + random suffix, so two processes (or
+/// Process-unique scratch name: PID + random suffix, so two processes (or
 /// two stores within one process) racing the same cache never collide on a
 /// tmp path.
 std::string unique_suffix() {

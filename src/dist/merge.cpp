@@ -66,7 +66,7 @@ struct Input {
 };
 
 bool is_success_status(const std::string& status) {
-  return status == "ok" || status == "hit" || status == "cached" || status == "peer";
+  return status == "ok" || status == "hit" || status == "cached";
 }
 
 bool load_input(const std::string& path, Input* out, std::string* error) {
@@ -194,7 +194,7 @@ int merge_manifests(const MergeOptions& opts, std::ostream& log) {
 
   // Union cell by cell, in the first manifest's (= expansion) order.
   struct Merged {
-    const Input::Cell* winner = nullptr;  ///< first non-peer success, else peer
+    const Input::Cell* winner = nullptr;  ///< first success entry
     bool any_failed = false;
   };
   std::map<std::string, Merged> merged;
@@ -214,11 +214,7 @@ int merge_manifests(const MergeOptions& opts, std::ostream& log) {
             << " — two manifests claim different bytes for the same cell (rule 9 "
                "violation: mismatched binaries or corrupted outputs)\n";
         ++conflicts;
-        continue;
       }
-      // Prefer the producer's record ("ok"/"hit"/"cached") over an
-      // observer's ("peer"): it carries the true compute time.
-      if (slot.winner->status == "peer" && cell.status != "peer") slot.winner = &cell;
     }
   }
   if (conflicts > 0) return 1;

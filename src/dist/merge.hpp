@@ -1,14 +1,14 @@
 /// \file
-/// `cr suite merge`: union per-shard / per-worker run manifests into the
-/// single manifest `cr verify` consumes.
+/// `cr suite merge`: union per-shard run manifests into the single manifest
+/// `cr verify` consumes.
 ///
-/// Inputs are run manifests produced by `cr suite run --shard i/n` or
-/// `cr suite work` over the SAME suite configuration. The merge is strict:
+/// Inputs are run manifests produced by `cr suite run --shard i/n` over the
+/// SAME suite configuration. The merge is strict:
 ///
 ///   * every input must record the same suite name, config_hash and --quick
 ///     mode — mixing configurations is a hard error, never a best effort;
 ///   * every input must describe the same cell expansion (same id set);
-///   * for each cell, all success entries ("ok"/"hit"/"cached"/"peer") must
+///   * for each cell, all success entries ("ok"/"hit"/"cached") must
 ///     agree on csv_fnv. Two manifests claiming DIFFERENT bytes for one
 ///     cell is a conflict and a hard error — it means rule 9 was violated
 ///     (mismatched binaries, a corrupted file) and the evidence cannot be

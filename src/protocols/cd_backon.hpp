@@ -17,7 +17,7 @@
 // collision trigger OPPOSITE corrections. This breaks the dilemma behind
 // Theorem 1.3, which is why this protocol can deliver Θ(n) batch messages
 // in Θ(n) slots under jamming while the best no-CD algorithm pays the
-// Θ(log) factor. bench_cd_contrast measures that boundary.
+// Θ(log) factor. `cr bench cd_contrast` measures that boundary.
 #pragma once
 
 #include <memory>

@@ -61,7 +61,7 @@ inline double cjz_batch_prob(const FunctionSet& fs, slot_t l3, int proc_parity, 
 }
 
 /// Ablation switches for the algorithm (paper behaviour = defaults). Used
-/// by bench_ablation to quantify the design decisions of §2.1.
+/// by `cr bench ablation` to quantify the design decisions of §2.1.
 struct CjzOptions {
   /// Paper: each Phase-3 restart swaps the control and data channels.
   bool swap_channels_on_restart = true;

@@ -5,9 +5,9 @@
 #   1. cold `cr suite run --cache` populates the CellCache;
 #   2. a warm run into a FRESH output dir must be 100% cache hits and
 #      byte-identical (determinism rule 9);
-#   3. two sequential `cr suite work` workers drain a third dir (the second
-#      observes only peer results), `cr suite merge` unions their manifests,
-#      and the worker CSVs byte-match the suite-run CSVs;
+#   3. `--shard=1/2` and `--shard=2/2` runs fill a third dir, `cr suite
+#      merge` unions their manifests, and the shard CSVs byte-match the
+#      suite-run CSVs;
 #   4. `cr cache stats` still sees a clean cache.
 #
 # Expects -DCR=<cr binary> -DMANIFEST=<suites/dist_smoke.json> -DOUT=<dir>.
@@ -46,32 +46,25 @@ foreach(csv IN LISTS cold_csvs)
   endif()
 endforeach()
 
-# Workers compute WITHOUT the cache so the lease/claim path really executes
-# cells rather than restoring them.
-run_cr(0 w1_log suite work ${MANIFEST} --out=${OUT}/work --threads=2)
-if(NOT w1_log MATCHES "2 ran, 0 cache hits, 0 failed")
-  message(FATAL_ERROR "first worker did not drain the suite:\n${w1_log}")
-endif()
-run_cr(0 w2_log suite work ${MANIFEST} --out=${OUT}/work --threads=2)
-if(NOT w2_log MATCHES "0 ran, 0 cache hits, 0 failed")
-  message(FATAL_ERROR "second worker should have found only peer results:\n${w2_log}")
-endif()
+# Shards compute WITHOUT the cache so each really executes its cell rather
+# than restoring it.
+foreach(shard 1 2)
+  run_cr(0 shard_log suite run ${MANIFEST} --out=${OUT}/shards --shard=${shard}/2 --threads=2)
+  if(NOT shard_log MATCHES "1 ran, 0 cached, 0 cache hits, 0 failed")
+    message(FATAL_ERROR "shard ${shard}/2 did not run exactly its one cell:\n${shard_log}")
+  endif()
+endforeach()
 
-file(GLOB worker_manifests ${OUT}/work/manifest.work-*.json)
-list(LENGTH worker_manifests n_manifests)
-if(NOT n_manifests EQUAL 2)
-  message(FATAL_ERROR "expected 2 worker manifests, found ${n_manifests}")
-endif()
-run_cr(0 merge_log suite merge ${worker_manifests})
-if(NOT EXISTS ${OUT}/work/manifest.json)
-  message(FATAL_ERROR "merge did not write ${OUT}/work/manifest.json:\n${merge_log}")
+run_cr(0 merge_log suite merge ${OUT}/shards/manifest.1of2.json ${OUT}/shards/manifest.2of2.json)
+if(NOT EXISTS ${OUT}/shards/manifest.json)
+  message(FATAL_ERROR "merge did not write ${OUT}/shards/manifest.json:\n${merge_log}")
 endif()
 
 foreach(csv IN LISTS cold_csvs)
   execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-    ${OUT}/cold/${csv} ${OUT}/work/${csv} RESULT_VARIABLE diff)
+    ${OUT}/cold/${csv} ${OUT}/shards/${csv} RESULT_VARIABLE diff)
   if(NOT diff EQUAL 0)
-    message(FATAL_ERROR "worker output for ${csv} differs from the suite run")
+    message(FATAL_ERROR "shard output for ${csv} differs from the suite run")
   endif()
 endforeach()
 

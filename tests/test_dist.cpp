@@ -1,10 +1,9 @@
-// Tests for the distributed execution fabric (src/dist + common/file_lock +
-// common/source_digest): CellCache hit/miss/corruption semantics, the
-// O_EXCL lease protocol with dead-holder takeover, `cr suite merge`'s strict
-// union rules, the cold/warm cache contract of run_suite (determinism rule
-// 9: a hit is byte-identical to recomputation), and a fork-based
-// multi-worker integration run whose merged output must equal a
-// single-process run byte for byte.
+// Tests for the distributed execution fabric (src/dist +
+// common/source_digest): CellCache hit/miss/corruption semantics,
+// `cr suite merge`'s strict union rules, the cold/warm cache contract of
+// run_suite (determinism rule 9: a hit is byte-identical to recomputation),
+// and concurrent shards sharing one output directory whose merged output
+// must equal a single-process run byte for byte.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -19,12 +18,10 @@
 #include <vector>
 
 #include "cli/suite.hpp"
-#include "common/file_lock.hpp"
 #include "common/json.hpp"
 #include "common/source_digest.hpp"
 #include "dist/cell_cache.hpp"
 #include "dist/merge.hpp"
-#include "dist/worker.hpp"
 
 namespace cr {
 namespace {
@@ -206,68 +203,6 @@ TEST_F(CellCacheTest, StatsAndGcEvictOldestPastBudgetAndPurgeJunk) {
 }
 
 // ---------------------------------------------------------------------------
-// Lease files
-
-class FileLockTest : public ::testing::Test {
- protected:
-  void SetUp() override { dir_ = fresh_dir("lock"); }
-  void TearDown() override { fs::remove_all(dir_); }
-  fs::path dir_;
-};
-
-TEST_F(FileLockTest, AcquireIsExclusiveUntilReleased) {
-  const std::string path = (dir_ / "c.lease").string();
-  ASSERT_TRUE(lease_try_acquire(path, "c"));
-  EXPECT_FALSE(lease_try_acquire(path, "c"));  // second claimant loses
-  LeaseInfo info;
-  ASSERT_TRUE(lease_read(path, &info));
-  EXPECT_EQ(info.pid, ::getpid());
-  EXPECT_EQ(info.host, lease_hostname());
-  EXPECT_EQ(info.name, "c");
-  // We are alive, so our own lease is never stale — at any age threshold.
-  EXPECT_FALSE(lease_is_stale(path, 0.0));
-  EXPECT_FALSE(lease_is_stale(path, 0.001));
-  lease_release(path);
-  EXPECT_TRUE(lease_try_acquire(path, "c"));
-}
-
-TEST_F(FileLockTest, DeadHolderLeaseIsStale) {
-  const std::string path = (dir_ / "c.lease").string();
-  // A real dead holder: the child acquires the lease and exits; after
-  // waitpid its PID refers to no process (modulo reuse, negligible in-test).
-  const pid_t child = fork();
-  ASSERT_GE(child, 0);
-  if (child == 0) std::_Exit(lease_try_acquire(path, "c") ? 0 : 1);
-  int status = 0;
-  ASSERT_EQ(::waitpid(child, &status, 0), child);
-  ASSERT_EQ(status, 0);
-  EXPECT_TRUE(lease_is_stale(path, 0.0));
-  // Takeover: unlink, then a fresh acquire wins.
-  lease_release(path);
-  EXPECT_TRUE(lease_try_acquire(path, "c"));
-  EXPECT_FALSE(lease_is_stale(path, 0.0));
-}
-
-TEST_F(FileLockTest, MalformedLeaseIsStaleAndMissingLeaseIsNot) {
-  const std::string path = (dir_ / "c.lease").string();
-  spit(path, "garbage with no pid line\n");
-  EXPECT_TRUE(lease_is_stale(path, 0.0));
-  fs::remove(path);
-  EXPECT_FALSE(lease_is_stale(path, 0.0));  // nothing to take over
-}
-
-TEST_F(FileLockTest, ForeignHostLeaseNeedsExplicitAgeOptIn) {
-  const std::string path = (dir_ / "c.lease").string();
-  spit(path, "pid 1\nhost not-" + lease_hostname() + "\nname c\nstarted_utc t\n");
-  fs::last_write_time(path, fs::file_time_type::clock::now() - std::chrono::hours(2));
-  // PID liveness means nothing across hosts: without the age opt-in the
-  // lease must be presumed held.
-  EXPECT_FALSE(lease_is_stale(path, 0.0));
-  EXPECT_TRUE(lease_is_stale(path, 3600.0));        // 2h old > 1h threshold
-  EXPECT_FALSE(lease_is_stale(path, 3 * 3600.0));   // 2h old < 3h threshold
-}
-
-// ---------------------------------------------------------------------------
 // `cr version --json` round-trip
 
 TEST(SourceDigest, IsStableSixteenHex) {
@@ -288,7 +223,7 @@ TEST(VersionJson, RoundTripsThroughTheJsonReader) {
 }
 
 // ---------------------------------------------------------------------------
-// run_suite × CellCache, and the multi-worker fabric
+// run_suite × CellCache, and shard + merge
 
 /// Two-cell suite (same shape as test_suite's fixture) plus a cache dir.
 class DistRunTest : public ::testing::Test {
@@ -328,27 +263,18 @@ class DistRunTest : public ::testing::Test {
     return found;
   }
 
-  std::vector<std::string> worker_manifests(const fs::path& dir) const {
-    std::vector<std::string> paths;
-    for (const auto& entry : fs::directory_iterator(dir))
-      if (entry.path().filename().string().rfind("manifest.work-", 0) == 0)
-        paths.push_back(entry.path().string());
-    return paths;
-  }
-
-  /// Fork `n` workers, all draining `out`; returns their exit codes.
-  std::vector<int> run_workers(int n, const fs::path& out, double stale_after = 0.0) const {
-    WorkerOptions opts;
-    opts.output_dir = out.string();
-    opts.cache_dir = "";  // force real computation
-    opts.threads = 1;
-    opts.stale_after_seconds = stale_after;
+  /// Run every shard of `spec_` at once (one forked process each), all
+  /// writing into `out` without a cache; returns their exit codes.
+  std::vector<int> run_shards(int n, const fs::path& out) const {
     std::vector<pid_t> pids;
-    for (int i = 0; i < n; ++i) {
+    for (int i = 1; i <= n; ++i) {
       const pid_t pid = fork();
       if (pid == 0) {
+        SuiteRunOptions opts = options(out);
+        opts.cache_dir.clear();  // force real computation
+        opts.shard = {i, n};
         std::ostringstream sink;
-        std::_Exit(run_worker(spec_, opts, sink));
+        std::_Exit(run_suite(spec_, opts, sink));
       }
       pids.push_back(pid);
     }
@@ -359,6 +285,16 @@ class DistRunTest : public ::testing::Test {
       codes.push_back(WIFEXITED(status) ? WEXITSTATUS(status) : 128);
     }
     return codes;
+  }
+
+  /// The per-shard run manifests `run_shards(n, dir)` wrote.
+  static std::vector<std::string> shard_manifests(int n, const fs::path& dir) {
+    std::vector<std::string> paths;
+    for (int i = 1; i <= n; ++i)
+      paths.push_back(
+          (dir / ("manifest." + std::to_string(i) + "of" + std::to_string(n) + ".json"))
+              .string());
+    return paths;
   }
 
   fs::path out_, cache_;
@@ -420,7 +356,7 @@ TEST_F(DistRunTest, ResumeReRunsCellWhoseCsvFailsItsRecordedChecksum) {
   EXPECT_EQ(csvs(out_), reference);  // corruption healed, bytes restored
 }
 
-TEST_F(DistRunTest, ThreeWorkersDrainSuiteByteIdenticalToSingleProcess) {
+TEST_F(DistRunTest, TwoShardsInOneDirectoryMergeByteIdenticalToSingleProcess) {
   // Reference: plain single-process run (no cache, so both paths compute).
   const fs::path ref = fresh_dir("ref");
   SuiteRunOptions ref_opts = options(ref);
@@ -429,27 +365,13 @@ TEST_F(DistRunTest, ThreeWorkersDrainSuiteByteIdenticalToSingleProcess) {
   ASSERT_EQ(run_suite(spec_, ref_opts, ref_log), 0);
   const auto reference = csvs(ref);
 
-  // One worker died mid-claim before the fleet started: a lease whose
-  // holder is a real, reaped (dead) PID. The fleet must take it over.
-  const std::string first_cell = expand_suite(spec_)[0].id;
-  fs::create_directories(out_ / ".locks");
-  const std::string orphan = (out_ / ".locks" / (first_cell + ".lease")).string();
-  const pid_t dead = fork();
-  ASSERT_GE(dead, 0);
-  if (dead == 0) std::_Exit(lease_try_acquire(orphan, first_cell) ? 0 : 1);
-  int status = 0;
-  ASSERT_EQ(::waitpid(dead, &status, 0), dead);
-  ASSERT_EQ(status, 0);
-  ASSERT_TRUE(fs::exists(orphan));
-
-  for (const int code : run_workers(3, out_)) EXPECT_EQ(code, 0);
+  for (const int code : run_shards(2, out_)) EXPECT_EQ(code, 0);
   EXPECT_EQ(csvs(out_), reference);  // byte-equal to the unsharded run
 
-  // Union the worker manifests; the merged manifest must carry every cell
+  // Union the shard manifests; the merged manifest must carry every cell
   // as a success with the reference checksums.
   MergeOptions merge;
-  merge.manifest_paths = worker_manifests(out_);
-  ASSERT_EQ(merge.manifest_paths.size(), 3u);
+  merge.manifest_paths = shard_manifests(2, out_);
   std::ostringstream merge_log;
   ASSERT_EQ(merge_manifests(merge, merge_log), 0) << merge_log.str();
   const auto merged = JsonValue::parse_file((out_ / "manifest.json").string());
@@ -469,8 +391,10 @@ TEST_F(DistRunTest, ThreeWorkersDrainSuiteByteIdenticalToSingleProcess) {
   fs::remove_all(ref);
 }
 
-TEST_F(DistRunTest, FailedCellIsTerminalAcrossWorkersAndBlocksMerge) {
+TEST_F(DistRunTest, FailedCellInShardManifestBlocksMerge) {
   // A cell that always dies: junk flag value hits CR_CHECK in the child.
+  // It is cell 0, so shard 1/2 records it as failed; shard 2/2 runs the
+  // good cell.
   const JsonParseResult json = JsonValue::parse(
       R"({"name": "tiny", "defaults": {"reps": 1},
           "cells": [{"bench": "scenario", "grid": {"horizon": ["junk"], "n": [16]}},
@@ -480,19 +404,15 @@ TEST_F(DistRunTest, FailedCellIsTerminalAcrossWorkersAndBlocksMerge) {
   ASSERT_TRUE(loaded.ok()) << loaded.error;
   spec_ = loaded.spec;
 
-  const std::vector<int> codes = run_workers(2, out_);
+  const std::vector<int> codes = run_shards(2, out_);
   EXPECT_EQ(codes[0], 1);
-  EXPECT_EQ(codes[1], 1);
-  // The failure marker makes the failure terminal — exactly one `.failed`
-  // file, and both manifests record the cell as failed rather than one
-  // worker retrying forever.
-  EXPECT_TRUE(fs::exists(out_ / ".locks" / (expand_suite(spec_)[0].id + ".failed")));
+  EXPECT_EQ(codes[1], 0);
 
   MergeOptions merge;
-  merge.manifest_paths = worker_manifests(out_);
-  ASSERT_EQ(merge.manifest_paths.size(), 2u);
+  merge.manifest_paths = shard_manifests(2, out_);
   std::ostringstream log;
   EXPECT_EQ(merge_manifests(merge, log), 1);
+  EXPECT_NE(log.str().find("failed in every manifest"), std::string::npos) << log.str();
   EXPECT_NE(log.str().find("refusing to write an incomplete/conflicted manifest"),
             std::string::npos)
       << log.str();
@@ -567,7 +487,7 @@ TEST_F(MergeTest, AgreeingDuplicatesMergeButConflictingChecksumsAreFatal) {
   const std::string a = manifest(
       "a.json", "cafe", cell("c1", "ok", "1111111111111111"));
   const std::string b = manifest(
-      "b.json", "cafe", cell("c1", "peer", "1111111111111111"));
+      "b.json", "cafe", cell("c1", "cached", "1111111111111111"));
   std::string log;
   EXPECT_EQ(merge({a, b}, &log), 0) << log;  // same bytes — fine
 

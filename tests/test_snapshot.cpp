@@ -11,7 +11,7 @@
 //   2. adversarial input — corrupted, truncated, version-mismatched and
 //      config-mismatched blobs must be rejected with the named diagnostics
 //      from common/snapshot.hpp, and arbitrary truncations/bit-flips must
-//      never crash (ASan/UBSan runs this suite in CI via `ctest -L stream`);
+//      never crash (the sanitized CI ctest run covers this suite);
 //   3. WindowedMetrics round-trip — the open window crosses a snapshot
 //      boundary intact, and a window-width mismatch is a named error.
 #include <gtest/gtest.h>

@@ -309,7 +309,7 @@ TEST(PresetParity, RegistryPresetsMatchLegacyCompositionsByteForByte) {
 
 TEST(PresetParity, PresetWorkloadsSerializeToValidFlatForms) {
   // Every preset's WorkloadSpec must survive the flat form unchanged — so
-  // any legacy scenario sweep is also a valid suite workload sweep.
+  // any legacy scenario sweep is also a valid sweep of workload cells.
   for (const std::string& name : ScenarioRegistry::instance().names()) {
     ScenarioParams p;
     p.horizon = 2048;
