@@ -1,11 +1,16 @@
-#include "exp/bench_driver.hpp"
+#include "cli/bench_driver.hpp"
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <streambuf>
 #include <thread>
 #include <utility>
+
+#include "common/check.hpp"
+#include "common/csv.hpp"
+#include "common/table.hpp"
 
 namespace cr {
 
@@ -26,6 +31,16 @@ std::ostream& null_stream() {
   return os;
 }
 
+/// Cli over `args` with "cr bench <name>" as its program name.
+Cli parse_args(const std::string& name, const std::vector<std::string>& args) {
+  const std::string program = "cr bench " + name;
+  std::vector<const char*> argv;
+  argv.reserve(args.size() + 1);
+  argv.push_back(program.c_str());
+  for (const std::string& arg : args) argv.push_back(arg.c_str());
+  return Cli(static_cast<int>(argv.size()), argv.data());
+}
+
 }  // namespace
 
 const std::vector<BenchFlag>& BenchDriver::standard_flags() {
@@ -34,7 +49,7 @@ const std::vector<BenchFlag>& BenchDriver::standard_flags() {
       {"seed", "base seed; seeds S..S+reps-1 are used"},
       {"threads", "parallel replication workers (default: all cores; results identical)"},
       {"quick", "smaller sizes/reps for smoke runs"},
-      {"csv", "write the machine-readable result table to PATH"},
+      {"csv", "write the machine-readable result table to PATH (a bare --csv writes BENCH.csv)"},
       {"quiet", "suppress narrative output and skip narrative-only sub-tables; "
                 "CSV unchanged"},
       {"help", "print usage and exit"},
@@ -42,21 +57,21 @@ const std::vector<BenchFlag>& BenchDriver::standard_flags() {
   return flags;
 }
 
-BenchDriver::BenchDriver(int argc, const char* const* argv, BenchInfo info)
-    : cli_(argc, argv), info_(std::move(info)) {
-  for (const BenchFlag& flag : standard_flags()) cli_.declare({flag.name.c_str()});
-  for (const BenchFlag& flag : info_.flags) cli_.declare({flag.name.c_str()});
+BenchDriver::BenchDriver(const BenchSpec& spec, const std::vector<std::string>& args)
+    : spec_(spec), cli_(parse_args(spec.name, args)) {
   if (cli_.get_bool("help", false)) {
-    std::printf("%s — %s\n\nflags:\n", info_.id.c_str(), info_.title.c_str());
+    std::printf("%s — %s\n\nflags:\n", spec_.id.c_str(), spec_.summary.c_str());
     for (const BenchFlag& flag : standard_flags())
       std::printf("  --%-10s %s\n", flag.name.c_str(), flag.help.c_str());
-    for (const BenchFlag& flag : info_.flags)
+    for (const BenchFlag& flag : spec_.flags)
       std::printf("  --%-10s %s\n", flag.name.c_str(), flag.help.c_str());
     std::exit(0);
   }
-  if (info_.dynamic_flag != nullptr)
-    for (const std::string& name : cli_.unknown_flags())
-      if (info_.dynamic_flag(name)) cli_.declare({name.c_str()});
+  for (const std::string& name : cli_.unknown_flags())
+    if (spec_.accepts_flag(name)) cli_.declare({name.c_str()});
+  // Declared names stay known so a typo gets a did-you-mean suggestion.
+  for (const BenchFlag& flag : standard_flags()) cli_.declare({flag.name.c_str()});
+  for (const BenchFlag& flag : spec_.flags) cli_.declare({flag.name.c_str()});
   cli_.reject_unknown();
   quick_ = cli_.get_bool("quick", false);
   quiet_ = cli_.get_bool("quiet", false);
@@ -83,10 +98,29 @@ std::uint64_t BenchDriver::seed(std::uint64_t def) const {
   return static_cast<std::uint64_t>(cli_.get_int("seed", static_cast<std::int64_t>(def)));
 }
 
-std::string BenchDriver::csv_path(const std::string& def) const {
-  if (!cli_.has("csv")) return "";
-  const std::string path = cli_.get_string("csv", def);
-  return (path.empty() || path == "true") ? def : path;
+bool BenchDriver::write_csv(const std::vector<std::vector<std::string>>& rows) const {
+  if (!wants_csv()) return true;
+  std::string path = cli_.get_string("csv", "");
+  if (path.empty() || path == "true") path = spec_.name + ".csv";
+  std::ofstream file(path);
+  const bool opened = file.is_open();
+  if (opened) {
+    CsvWriter csv(file, spec_.csv_columns);
+    for (const auto& row : rows) csv.row(row);
+    file.close();
+  }
+  if (!file) {
+    if (opened) std::remove(path.c_str());  // never leave a truncated table behind
+    std::fprintf(stderr, "%s: cannot write CSV to %s\n", cli_.program().c_str(), path.c_str());
+    return false;
+  }
+  out() << "\ntable written to " << path << " (" << rows.size() << " rows)\n";
+  return true;
+}
+
+bool BenchDriver::write_csv(const Table& table) const {
+  CR_CHECK(spec_.csv_columns.size() == table.cols());
+  return write_csv(table.row_text());
 }
 
 }  // namespace cr

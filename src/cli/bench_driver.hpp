@@ -1,31 +1,30 @@
 /// \file
-/// Shared driver for the CLI benches (standalone wrappers and `cr bench`).
-///
-/// Every bench used to hand-roll the same prologue: parse Cli, read
-/// --reps/--quick, pick quick-mode defaults, loop seeds serially. BenchDriver
-/// centralises that contract:
+/// The per-run side of a bench: BenchRegistry::run builds one BenchDriver
+/// from the bench's BenchSpec and the flags after its name, and hands it to
+/// BenchSpec::run. The driver owns the contract every bench shares:
 ///
 ///   * uniform flags: --reps, --seed, --threads, --quick, --csv, --quiet,
-///     --help — declared once, plus the bench's own flags (each with a help
-///     line for --help and `cr list`), with unknown flags rejected loudly
-///     (a typo like --rep=10 exits with a did-you-mean message);
+///     --help, plus the spec's own flags (each with a help line for --help
+///     and `cr list`); a flag BenchSpec::accepts_flag refuses exits 2 with a
+///     did-you-mean message (a typo like --rep=10 never runs);
 ///   * quick-aware defaults: reps(6, 3) reads --reps with a default of 6,
 ///     or 3 under --quick;
 ///   * deterministic parallel replication: replicate() fans seeds across
 ///     --threads workers (default: all hardware threads) and returns
 ///     seed-ordered results bit-identical to a serial run;
-///   * suite-friendly output: narrative tables go to out(), which --quiet
-///     silences so `cr suite run` logs stay readable; --csv=PATH output is
-///     never silenced.
+///   * output: narrative tables go to out(), which --quiet silences so
+///     `cr suite run` logs stay readable; write_csv() writes the --csv table
+///     under the spec's csv_columns and reports a failed write, and is never
+///     silenced.
 ///
-/// Usage:
-///   BenchDriver driver(argc, argv, {"E2", "worst-case throughput",
-///                                   {{"max_exp", "largest horizon exponent"}}});
+/// Usage, inside a bench's run function:
 ///   const int reps = driver.reps(6, 3);
 ///   const auto results = driver.replicate(reps, 11000, [&](std::uint64_t s) {
 ///     Scenario sc = ...; sc.config.seed = s;
 ///     return run_scenario(engine, sc);
 ///   });
+///   ...
+///   if (!driver.write_csv(table)) return 1;
 #pragma once
 
 #include <cstdint>
@@ -33,38 +32,22 @@
 #include <string>
 #include <vector>
 
+#include "cli/bench_registry.hpp"
 #include "common/cli.hpp"
 #include "exp/harness.hpp"
 
 namespace cr {
 
-/// One bench-specific flag: its name and the one-line help shown by
-/// --help, `cr list --md` and docs/EXPERIMENTS.md (all generated from the
-/// same declaration, so they cannot drift).
-struct BenchFlag {
-  std::string name;  ///< flag name without the leading "--"
-  std::string help;  ///< one-line description
-};
-
-struct BenchInfo {
-  std::string id;     ///< experiment number, e.g. "E2"
-  std::string title;  ///< one-line description for --help
-  std::vector<BenchFlag> flags;  ///< bench-specific flags beyond the standard set
-  /// Optional: accept flags whose names are dynamic (the workload bench's
-  /// `arrival.<param>`/`jammer.<param>` keys). A passed flag matching the
-  /// predicate is treated as declared; precise validation (is the parameter
-  /// real for the chosen component?) stays with the bench.
-  bool (*dynamic_flag)(const std::string& name) = nullptr;
-};
+class Table;
 
 class BenchDriver {
  public:
-  /// Parses flags, handles --help (prints usage, exits 0) and rejects
-  /// unknown flags (exits 2 with a did-you-mean message).
-  BenchDriver(int argc, const char* const* argv, BenchInfo info);
+  /// Parses `args` (the flags after the bench name), handles --help (prints
+  /// usage, exits 0) and rejects flags the spec does not accept (exits 2
+  /// with a did-you-mean message). `spec` must outlive the driver.
+  BenchDriver(const BenchSpec& spec, const std::vector<std::string>& args);
 
   const Cli& cli() const { return cli_; }
-  const BenchInfo& info() const { return info_; }
 
   bool quick() const { return quick_; }
   /// --quiet: narrative output is discarded (out() is a null sink), so
@@ -89,8 +72,20 @@ class BenchDriver {
                        std::int64_t quick_def) const;
   /// --seed, defaulting to the bench's fixed base seed.
   std::uint64_t seed(std::uint64_t def) const;
-  /// --csv=PATH; empty when not requested. Bare --csv selects `def`.
-  std::string csv_path(const std::string& def) const;
+
+  /// True when --csv was passed, for benches whose CSV needs extra runs.
+  bool wants_csv() const { return cli_.has("csv"); }
+  /// Writes `rows` under the spec's csv_columns to the --csv path (a bare
+  /// --csv means "<name>.csv"); a no-op returning true without --csv. On a
+  /// failed open, write or close it removes the partial file, says so on
+  /// stderr and returns false — the bench then exits nonzero.
+  [[nodiscard]] bool write_csv(const std::vector<std::vector<std::string>>& rows) const;
+  /// The rendered table's cells, exactly as formatted for print() — display
+  /// headers are not machine-readable, so the spec's csv_columns (which must
+  /// match the table's width) name the columns. The formatted text is
+  /// deterministic for a given platform, which the suite runner's
+  /// bit-identical resume and shard guarantees build on.
+  [[nodiscard]] bool write_csv(const Table& table) const;
 
   /// Deterministic parallel replication over seeds base .. base+reps-1,
   /// honouring --threads. `run` must be safe to call concurrently (build all
@@ -105,8 +100,8 @@ class BenchDriver {
   static const std::vector<BenchFlag>& standard_flags();
 
  private:
+  const BenchSpec& spec_;
   Cli cli_;
-  BenchInfo info_;
   bool quick_ = false;
   bool quiet_ = false;
   int threads_ = 1;

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <utility>
 
+#include "cli/bench_driver.hpp"
 #include "cli/benches/benches.hpp"
 #include "common/check.hpp"
 #include "common/cli.hpp"
@@ -68,14 +69,18 @@ void BenchRegistry::register_bench(BenchSpec spec) {
   entries_.push_back(std::move(spec));
 }
 
+bool BenchSpec::accepts_flag(const std::string& flag) const {
+  for (const BenchFlag& declared : flags)
+    if (declared.name == flag) return true;
+  for (const BenchFlag& standard : BenchDriver::standard_flags())
+    if (standard.name == flag) return true;
+  return allows_flag != nullptr && allows_flag(flag);
+}
+
 int BenchRegistry::run(const std::string& name, const std::vector<std::string>& args) const {
   const BenchSpec& spec = at(name);
-  const std::string argv0 = "cr bench " + name;
-  std::vector<const char*> argv;
-  argv.reserve(args.size() + 1);
-  argv.push_back(argv0.c_str());
-  for (const std::string& arg : args) argv.push_back(arg.c_str());
-  return spec.run(static_cast<int>(argv.size()), argv.data());
+  const BenchDriver driver(spec, args);
+  return spec.run(driver);
 }
 
 }  // namespace cr

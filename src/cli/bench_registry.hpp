@@ -4,11 +4,11 @@
 /// flag declarations and CSV column schema here, and the `cr` tool derives
 /// everything else from it:
 ///
-///   * `cr bench <name> [flags]` dispatches to the registered run function
-///     (the legacy bench_<name> binaries are thin wrappers over the same
-///     entries);
-///   * `cr suite run <manifest>` validates manifest cells against the
-///     declared flags before running anything;
+///   * `cr bench <name> [flags]`, `cr perf`, `cr stream` and every forked
+///     suite cell go through BenchRegistry::run, which builds the bench's
+///     BenchDriver from its spec and calls the registered run function;
+///   * `cr suite run <manifest>` validates manifest cells against the same
+///     flag rule (BenchSpec::accepts_flag) before running anything;
 ///   * `cr list --md` renders docs/EXPERIMENTS.md from these specs, and the
 ///     `docs`-labelled CTest entry diffs the committed file against that
 ///     output — so the registry is the single source of truth and the docs
@@ -19,9 +19,17 @@
 #include <utility>
 #include <vector>
 
-#include "exp/bench_driver.hpp"
-
 namespace cr {
+
+class BenchDriver;
+
+/// One bench-specific flag: its name and the one-line help shown by
+/// --help, `cr list --md` and docs/EXPERIMENTS.md (all generated from the
+/// same declaration, so they cannot drift).
+struct BenchFlag {
+  std::string name;  ///< flag name without the leading "--"
+  std::string help;  ///< one-line description
+};
 
 /// Everything `cr` needs to run and document one experiment.
 struct BenchSpec {
@@ -38,14 +46,13 @@ struct BenchSpec {
   /// What one CSV row is (docs: e.g. "one (regime, t, burst) cell,
   /// means over reps").
   std::string csv_row_desc;
-  /// Entry point: argv[0] is a display name; flags follow. Returns the
-  /// process exit code.
-  int (*run)(int argc, const char* const* argv);
+  /// Entry point, handed the driver BenchRegistry::run built from this
+  /// spec and the flags. Returns the process exit code.
+  int (*run)(const BenchDriver& driver);
 
   /// Optional: accept flags whose names are dynamic (the workload bench's
-  /// `arrival.<param>`/`jammer.<param>` keys) — consulted by the suite
-  /// validator in addition to `flags`, and forwarded as
-  /// BenchInfo::dynamic_flag by the bench itself.
+  /// `arrival.<param>`/`jammer.<param>` keys). Precise validation (is the
+  /// parameter real for the chosen component?) stays with the bench.
   bool (*allows_flag)(const std::string& name) = nullptr;
 
   /// Optional: semantic validation of one fully-expanded suite cell (the
@@ -55,14 +62,16 @@ struct BenchSpec {
   std::string (*validate_cell)(const std::vector<std::pair<std::string, std::string>>& flags) =
       nullptr;
 
-  /// Name of the legacy standalone binary ("bench_" + name).
-  std::string legacy_binary() const { return "bench_" + name; }
+  /// The one flag rule: a flag declared in `flags`, a standard BenchDriver
+  /// flag, or one `allows_flag` accepts. BenchDriver rejects everything
+  /// else; the suite validator additionally refuses runner-reserved flags.
+  bool accepts_flag(const std::string& name) const;
 };
 
-/// Name-keyed registry of all CLI benches. Seeded with the 12 paper
-/// experiments plus the generic "scenario" runner; register_bench() is the
-/// extension point. Registration is not thread-safe — register before
-/// fanning out runs.
+/// Name-keyed registry of all CLI benches. Seeded with the 16 built-in
+/// benches (the 12 paper experiments, the scenario and workload runners,
+/// stream and perf); register_bench() is the extension point. Registration
+/// is not thread-safe — register before fanning out runs.
 class BenchRegistry {
  public:
   static BenchRegistry& instance();
@@ -77,8 +86,8 @@ class BenchRegistry {
 
   void register_bench(BenchSpec spec);
 
-  /// Dispatch to `at(name).run` with a synthetic argv whose argv[0] names
-  /// the subcommand ("cr bench <name>"); `args` are the remaining flags.
+  /// The single way to run a bench: build the BenchDriver from `at(name)`
+  /// and `args` (the flags after the name), then call the spec's run.
   int run(const std::string& name, const std::vector<std::string>& args) const;
 
  private:

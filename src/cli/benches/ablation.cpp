@@ -10,15 +10,14 @@
 //
 // We toggle each choice and measure (i) batch completion under jamming and
 // (ii) served fraction + bound ratio on a dynamic worst-case workload.
-#include <fstream>
 #include <ostream>
 
 #include "adversary/arrivals.hpp"
 #include "adversary/jammers.hpp"
+#include "cli/bench_driver.hpp"
 #include "cli/benches/benches.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "exp/bench_driver.hpp"
 #include "exp/harness.hpp"
 #include "exp/scenarios.hpp"
 #include "metrics/throughput_check.hpp"
@@ -84,8 +83,7 @@ void bench_variant(const Variant& v, std::uint64_t n, slot_t stream_t,
                  mean_sd(ratio, 2)});
 }
 
-int run(int argc, const char* const* argv) {
-  const BenchDriver driver(argc, argv, {ablation().id, ablation().summary, ablation().flags});
+int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
   const int reps = driver.reps(10, 4);
   const auto n = static_cast<std::uint64_t>(driver.get_int("n", 1024, 256));
@@ -111,12 +109,7 @@ int run(int argc, const char* const* argv) {
   for (const Variant& v : variants) bench_variant(v, n, stream_t, driver, reps, table);
   table.print(out);
 
-  const std::string csv_path = driver.csv_path("ablation.csv");
-  if (!csv_path.empty()) {
-    std::ofstream file(csv_path);
-    write_table_csv(table, ablation().csv_columns, file);
-    out << "\ntable written to " << csv_path << "\n";
-  }
+  if (!driver.write_csv(table)) return 1;
 
   out << "\nReading: the constants matter most — c3 off its sweet spot slows the batch\n"
          "in BOTH directions (sparse ctrl starves restarts, dense ctrl self-collides),\n"

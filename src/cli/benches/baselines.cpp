@@ -9,13 +9,12 @@
 // Every contender is a ProtocolSpec; the registry picks the fastest engine
 // that can execute it (cohort engines for CJZ and the probability profile,
 // the per-node reference engine for the windowed schemes).
-#include <fstream>
 #include <ostream>
 #include <vector>
 
+#include "cli/bench_driver.hpp"
 #include "cli/benches/benches.hpp"
 #include "common/table.hpp"
-#include "exp/bench_driver.hpp"
 #include "exp/harness.hpp"
 #include "exp/scenarios.hpp"
 #include "metrics/metrics.hpp"
@@ -78,9 +77,7 @@ Outcome race(const ProtocolSpec& spec, std::uint64_t n, const BenchDriver& drive
   return {completion.median(), frac.mean(), capped};
 }
 
-int run(int argc, const char* const* argv) {
-  const BenchDriver driver(argc, argv,
-                           {baselines().id, baselines().summary, baselines().flags});
+int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
   const bool quick = driver.quick();
   const int reps = driver.reps(7, 3);
@@ -103,12 +100,7 @@ int run(int argc, const char* const* argv) {
   }
   table.print(out);
 
-  const std::string csv_path = driver.csv_path("baselines.csv");
-  if (!csv_path.empty()) {
-    std::ofstream file(csv_path);
-    write_table_csv(table, baselines().csv_columns, file);
-    out << "\ntable written to " << csv_path << "\n";
-  }
+  if (!driver.write_csv(table)) return 1;
 
   out << "\nReading: on a clean batch the windowed schemes and CJZ are all ~n·polylog\n"
          "(constants differ); the probability-profile BEB (h_data) collapses. The\n"

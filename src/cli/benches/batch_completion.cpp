@@ -13,14 +13,13 @@
 //       (the all-n completion time has a truncated-Pareto tail driven by
 //       the lone-survivor phase, so its mean/median are very noisy).
 #include <cmath>
-#include <fstream>
 #include <ostream>
 #include <vector>
 
+#include "cli/bench_driver.hpp"
 #include "cli/benches/benches.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "exp/bench_driver.hpp"
 #include "exp/harness.hpp"
 #include "exp/scenarios.hpp"
 #include "metrics/metrics.hpp"
@@ -64,9 +63,7 @@ BatchStats measure(const ProtocolSpec& spec, std::uint64_t n, const BenchDriver&
   return out;
 }
 
-int run(int argc, const char* const* argv) {
-  const BenchDriver driver(
-      argc, argv, {batch_completion().id, batch_completion().summary, batch_completion().flags});
+int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
   const int reps = driver.reps(20, 8);
   const auto max_n = static_cast<std::uint64_t>(driver.get_int("max_n", 4096, 1024));
@@ -93,12 +90,7 @@ int run(int argc, const char* const* argv) {
   }
   table.print(out);
 
-  const std::string csv_path = driver.csv_path("batch_completion.csv");
-  if (!csv_path.empty()) {
-    std::ofstream file(csv_path);
-    write_table_csv(table, batch_completion().csv_columns, file);
-    out << "\ntable written to " << csv_path << "\n";
-  }
+  if (!driver.write_csv(table)) return 1;
 
   const LinearFit fit_c = fit_linear(log_n, log_cjz90);
   out << "\nCJZ 90%-completion log-log slope = " << format_double(fit_c.slope, 2)

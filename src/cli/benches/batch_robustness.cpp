@@ -8,12 +8,11 @@
 //
 // We sweep the jamming rate and report the fraction delivered within c·n
 // slots for c ∈ {2, 4, 8}.
-#include <fstream>
 #include <ostream>
 
+#include "cli/bench_driver.hpp"
 #include "cli/benches/benches.hpp"
 #include "common/table.hpp"
-#include "exp/bench_driver.hpp"
 #include "exp/harness.hpp"
 #include "exp/scenarios.hpp"
 #include "metrics/metrics.hpp"
@@ -23,9 +22,7 @@ namespace cr::benches {
 
 namespace {
 
-int run(int argc, const char* const* argv) {
-  const BenchDriver driver(
-      argc, argv, {batch_robustness().id, batch_robustness().summary, batch_robustness().flags});
+int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
   const auto n = static_cast<std::uint64_t>(driver.get_int("n", 4096, 1024));
   const int reps = driver.reps(15, 5);
@@ -59,12 +56,7 @@ int run(int argc, const char* const* argv) {
   }
   table.print(out);
 
-  const std::string csv_path = driver.csv_path("batch_robustness.csv");
-  if (!csv_path.empty()) {
-    std::ofstream file(csv_path);
-    write_table_csv(table, batch_robustness().csv_columns, file);
-    out << "\ntable written to " << csv_path << "\n";
-  }
+  if (!driver.write_csv(table)) return 1;
 
   out << "\nReading: even at 40% jamming a constant fraction (not a vanishing one) of\n"
          "the batch is delivered within a few multiples of n — the property Phase 3\n"

@@ -13,14 +13,13 @@
 // Prediction: cd-backon's batch completion/n is ~constant in n (constant
 // throughput) even at 25% jamming; CJZ pays the Θ(log n) factor (the best
 // possible without CD, Theorem 1.3); the degraded controller collapses.
-#include <fstream>
 #include <memory>
 #include <ostream>
 
+#include "cli/bench_driver.hpp"
 #include "cli/benches/benches.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "exp/bench_driver.hpp"
 #include "exp/harness.hpp"
 #include "exp/scenarios.hpp"
 #include "protocols/cd_backon.hpp"
@@ -90,9 +89,7 @@ double median_completion(const Contender& c, std::uint64_t n, double jam,
   return q.median();
 }
 
-int run(int argc, const char* const* argv) {
-  const BenchDriver driver(argc, argv,
-                           {cd_contrast().id, cd_contrast().summary, cd_contrast().flags});
+int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
   const int reps = driver.reps(8, 4);
   const auto max_n = static_cast<std::uint64_t>(driver.get_int("max_n", 4096, 1024));
@@ -133,12 +130,7 @@ int run(int argc, const char* const* argv) {
   }
   table.print(out);
 
-  const std::string csv_path = driver.csv_path("cd_contrast.csv");
-  if (!csv_path.empty()) {
-    std::ofstream file(csv_path);
-    write_table_csv(table, cd_contrast().csv_columns, file);
-    out << "\ntable written to " << csv_path << "\n";
-  }
+  if (!driver.write_csv(table)) return 1;
 
   out << "\nReading: the cd-backon column is flat in n (constant throughput, even at\n"
          "25% jamming) — the very capability Theorem 1.3 proves unattainable without\n"

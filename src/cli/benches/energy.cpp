@@ -11,12 +11,11 @@
 // (cohort) engine serves here — orders of magnitude faster than the per-node
 // reference engine this bench used to pin.
 #include <cmath>
-#include <fstream>
 #include <ostream>
 
+#include "cli/bench_driver.hpp"
 #include "cli/benches/benches.hpp"
 #include "common/table.hpp"
-#include "exp/bench_driver.hpp"
 #include "exp/harness.hpp"
 #include "exp/scenarios.hpp"
 #include "metrics/metrics.hpp"
@@ -25,8 +24,7 @@ namespace cr::benches {
 
 namespace {
 
-int run(int argc, const char* const* argv) {
-  const BenchDriver driver(argc, argv, {energy().id, energy().summary, energy().flags});
+int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
   // The cohort engine turned this bench from the suite's slowest into a
   // sub-second run (measured ~8x wall-clock at n<=2048), so the default
@@ -64,12 +62,7 @@ int run(int argc, const char* const* argv) {
   }
   table.print(out);
 
-  const std::string csv_path = driver.csv_path("energy.csv");
-  if (!csv_path.empty()) {
-    std::ofstream file(csv_path);
-    write_table_csv(table, energy().csv_columns, file);
-    out << "\ntable written to " << csv_path << "\n";
-  }
+  if (!driver.write_csv(table)) return 1;
 
   out << "\nReading: energy grows like the log^2(n) column (not like n) — polylog\n"
          "channel accesses per message, in line with the backoff-style algorithms\n"

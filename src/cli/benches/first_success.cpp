@@ -11,7 +11,6 @@
 // jamming. We sweep m, with backoff joiners spread over the window, and
 // report the first-success distribution (custom MixedFactory via
 // factory_protocol — this also demonstrates the spec extension point).
-#include <fstream>
 #include <memory>
 #include <ostream>
 #include <utility>
@@ -19,10 +18,10 @@
 
 #include "adversary/arrivals.hpp"
 #include "adversary/jammers.hpp"
+#include "cli/bench_driver.hpp"
 #include "cli/benches/benches.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "exp/bench_driver.hpp"
 #include "exp/harness.hpp"
 #include "exp/scenarios.hpp"
 #include "protocols/backoff.hpp"
@@ -55,9 +54,7 @@ class MixedFactory final : public ProtocolFactory {
   std::unique_ptr<ProtocolFactory> backoff_factory_;
 };
 
-int run(int argc, const char* const* argv) {
-  const BenchDriver driver(
-      argc, argv, {first_success().id, first_success().summary, first_success().flags});
+int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
   const bool quick = driver.quick();
   const int reps = driver.reps(30, 10);
@@ -110,12 +107,7 @@ int run(int argc, const char* const* argv) {
   }
   table.print(out);
 
-  const std::string csv_path = driver.csv_path("first_success.csv");
-  if (!csv_path.empty()) {
-    std::ofstream file(csv_path);
-    write_table_csv(table, first_success().csv_columns, file);
-    out << "\ntable written to " << csv_path << "\n";
-  }
+  if (!driver.write_csv(table)) return 1;
 
   out << "\nReading: p50/m stays in a narrow band while m spans 64x (the first success\n"
          "tracks the batch's contention timescale), 25% jamming only shifts it by a\n"

@@ -17,14 +17,12 @@
 // Runs on the registry's preferred engine (fast_cjz attributes node stats).
 // The --csv table is diffed against tests/golden/bench_latency_quick.csv by
 // the golden CTest entry — keep its byte format stable.
-#include <fstream>
 #include <ostream>
 
+#include "cli/bench_driver.hpp"
 #include "cli/benches/benches.hpp"
-#include "common/csv.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "exp/bench_driver.hpp"
 #include "exp/harness.hpp"
 #include "exp/scenarios.hpp"
 #include "metrics/metrics.hpp"
@@ -39,8 +37,7 @@ struct Rep {
   std::uint64_t peak_backlog = 0;
 };
 
-int run(int argc, const char* const* argv) {
-  const BenchDriver driver(argc, argv, {latency().id, latency().summary, latency().flags});
+int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
   const int reps = driver.reps(10, 4);
   const int max_exp = static_cast<int>(driver.get_int("max_exp", 18, 16));
@@ -108,13 +105,7 @@ int run(int argc, const char* const* argv) {
   }
   table.print(out);
 
-  const std::string csv_path = driver.csv_path("latency.csv");
-  if (!csv_path.empty()) {
-    std::ofstream file(csv_path);
-    CsvWriter csv(file, latency().csv_columns);
-    for (const auto& row : csv_rows) csv.row(row);
-    out << "\ntable written to " << csv_path << " (" << csv.rows_written() << " rows)\n";
-  }
+  if (!driver.write_csv(csv_rows)) return 1;
 
   out << "\nReading: p99 latency scales like burst·f (the last column is a roughly\n"
          "constant service factor), peak backlog and stranded counts stay ~one burst —\n"

@@ -10,13 +10,12 @@
 // report mean sends-before-first-success, normalized by log²t/log²g —
 // flatness of that column is the tightness claim.
 #include <cmath>
-#include <fstream>
 #include <ostream>
 
 #include "adversary/proof_adversaries.hpp"
+#include "cli/bench_driver.hpp"
 #include "cli/benches/benches.hpp"
 #include "common/table.hpp"
-#include "exp/bench_driver.hpp"
 #include "exp/harness.hpp"
 #include "exp/scenarios.hpp"
 #include "protocols/baselines.hpp"
@@ -25,9 +24,7 @@ namespace cr::benches {
 
 namespace {
 
-int run(int argc, const char* const* argv) {
-  const BenchDriver driver(argc, argv,
-                           {lowerbound().id, lowerbound().summary, lowerbound().flags});
+int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
   const int reps = driver.reps(20, 8);
   const int max_exp = static_cast<int>(driver.get_int("max_exp", 20, 17));
@@ -69,12 +66,7 @@ int run(int argc, const char* const* argv) {
   }
   table.print(out);
 
-  const std::string csv_path = driver.csv_path("lowerbound.csv");
-  if (!csv_path.empty()) {
-    std::ofstream file(csv_path);
-    write_table_csv(table, lowerbound().csv_columns, file);
-    out << "\ntable written to " << csv_path << "\n";
-  }
+  if (!driver.write_csv(table)) return 1;
 
   out << "\nReading: 'normalized' hovers around a constant within each g block while t\n"
          "spans two orders of magnitude — the algorithm's energy matches the\n"

@@ -11,15 +11,14 @@
 //
 // We inject a single node at slot 1, jam [1, t/16], and measure the time to
 // first success beyond the prefix ("excess") and the number of broadcasts.
-#include <fstream>
 #include <memory>
 #include <ostream>
 
 #include "adversary/arrivals.hpp"
 #include "adversary/jammers.hpp"
+#include "cli/bench_driver.hpp"
 #include "cli/benches/benches.hpp"
 #include "common/table.hpp"
-#include "exp/bench_driver.hpp"
 #include "exp/harness.hpp"
 #include "exp/scenarios.hpp"
 #include "protocols/baselines.hpp"
@@ -59,9 +58,7 @@ void measure(const ProtocolSpec& spec, const char* label, slot_t t, const BenchD
                  mean_sd(excess_acc, 0), mean_sd(sends_acc, 1), Cell(solved, 2)});
 }
 
-int run(int argc, const char* const* argv) {
-  const BenchDriver driver(argc, argv,
-                           {nonadaptive().id, nonadaptive().summary, nonadaptive().flags});
+int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
   const bool quick = driver.quick();
   const int reps = driver.reps(20, 8);
@@ -88,12 +85,7 @@ int run(int argc, const char* const* argv) {
   }
   table.print(out);
 
-  const std::string csv_path = driver.csv_path("nonadaptive.csv");
-  if (!csv_path.empty()) {
-    std::ofstream file(csv_path);
-    write_table_csv(table, nonadaptive().csv_columns, file);
-    out << "\ntable written to " << csv_path << "\n";
-  }
+  if (!driver.write_csv(table)) return 1;
 
   out << "\nReading: the adaptive subroutine's excess is a small fraction of the\n"
          "prefix; the 1/k sequence (already decayed) pays ~a full extra prefix.\n"

@@ -40,11 +40,11 @@
 #include <string>
 #include <vector>
 
+#include "cli/bench_driver.hpp"
 #include "cli/benches/benches.hpp"
 #include "common/json.hpp"
 #include "common/table.hpp"
 #include "engine/fast_cjz.hpp"
-#include "exp/bench_driver.hpp"
 #include "exp/harness.hpp"
 #include "exp/scenarios.hpp"
 #include "exp/workload.hpp"
@@ -162,9 +162,7 @@ double baseline_slots_per_sec(const JsonValue& snapshot, const PerfRow& row) {
   return 0.0;
 }
 
-int run(int argc, const char* const* argv) {
-  const BenchSpec& self = perf();
-  const BenchDriver driver(argc, argv, {self.id, self.summary, self.flags});
+int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
   const int reps = driver.reps(1000, 64);
   const std::uint64_t base_seed = driver.seed(70000);
@@ -372,12 +370,7 @@ int run(int argc, const char* const* argv) {
           << format_double(tolerance * 100.0, 0) << "% — exiting nonzero\n";
   }
 
-  const std::string csv_path = driver.csv_path("perf.csv");
-  if (!csv_path.empty()) {
-    std::ofstream file(csv_path);
-    write_table_csv(table, perf().csv_columns, file);
-    out << "\ntable written to " << csv_path << "\n";
-  }
+  if (!driver.write_csv(table)) return 1;
 
   if (!json_path.empty()) {
     std::ofstream json(json_path);

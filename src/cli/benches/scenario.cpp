@@ -10,12 +10,11 @@
 //   cr bench scenario --scenario=bursty --n=64 --jam_margin=8 --reps=8
 //   cr suite run ... with "grid": {"scenario": ["batch","worst_case"], ...}
 #include <cstdio>
-#include <fstream>
 #include <ostream>
 
+#include "cli/bench_driver.hpp"
 #include "cli/benches/benches.hpp"
 #include "common/table.hpp"
-#include "exp/bench_driver.hpp"
 #include "exp/harness.hpp"
 #include "exp/scenarios.hpp"
 #include "exp/workload.hpp"
@@ -79,8 +78,7 @@ std::string validate_cell(const std::vector<std::pair<std::string, std::string>>
   return check_consumed(*entry, passed, g_regime);
 }
 
-int run(int argc, const char* const* argv) {
-  const BenchDriver driver(argc, argv, {scenario().id, scenario().summary, scenario().flags});
+int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
   const int reps = driver.reps(8, 3);
 
@@ -170,12 +168,7 @@ int run(int argc, const char* const* argv) {
                  Cell(served.mean(), 3), Cell(sends.mean(), 1), mean_sd(backlog, 1)});
   table.print(out);
 
-  const std::string csv_path = driver.csv_path("scenario.csv");
-  if (!csv_path.empty()) {
-    std::ofstream file(csv_path);
-    write_table_csv(table, scenario().csv_columns, file);
-    out << "\ntable written to " << csv_path << "\n";
-  }
+  if (!driver.write_csv(table)) return 1;
 
   out << "\nReading: one row per invocation by design — sweeps come from suite grids\n"
          "(see suites/*.json), which expand a cell block into many invocations and\n"

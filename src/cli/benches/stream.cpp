@@ -21,17 +21,15 @@
 #include <iostream>
 #include <thread>
 
+#include "cli/bench_driver.hpp"
 #include "cli/benches/benches.hpp"
 #include "engine/stream.hpp"
-#include "exp/bench_driver.hpp"
 
 namespace cr::benches {
 
 namespace {
 
-int run(int argc, const char* const* argv) {
-  const BenchDriver driver(argc, argv, {stream().id, stream().summary, stream().flags});
-
+int run(const BenchDriver& driver) {
   const std::uint64_t seed = driver.seed(1);
   const auto window = static_cast<slot_t>(driver.get_int("window", 1024, 256));
   const auto ring_capacity = static_cast<std::size_t>(driver.get_int("ring", 1024, 1024));
@@ -106,16 +104,22 @@ int run(int argc, const char* const* argv) {
                  static_cast<unsigned long long>(sim.feed_skip()));
   }
 
+  std::string checkpoint_error;  // first failed checkpoint write, if any
   if (!checkpoint_path.empty()) {
-    sim.set_checkpoint_sink([&checkpoint_path](const std::vector<std::uint8_t>& blob) {
-      // Write-then-rename so a kill mid-checkpoint leaves the previous
-      // checkpoint intact instead of a truncated blob.
+    sim.set_checkpoint_sink([&](const std::vector<std::uint8_t>& blob) {
+      // Write-then-rename so a kill or a failed write mid-checkpoint leaves
+      // the previous checkpoint intact instead of a truncated blob: the
+      // rename happens only after the write and the close succeeded.
       const std::string tmp = checkpoint_path + ".tmp";
       std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
       f.write(reinterpret_cast<const char*>(blob.data()),
               static_cast<std::streamsize>(blob.size()));
       f.close();
-      std::rename(tmp.c_str(), checkpoint_path.c_str());
+      if (f && std::rename(tmp.c_str(), checkpoint_path.c_str()) == 0) return;
+      std::remove(tmp.c_str());
+      if (checkpoint_error.empty())
+        checkpoint_error = "cannot write checkpoint \"" + checkpoint_path + "\" at slot " +
+                           std::to_string(sim.current_slot());
     });
   }
 
@@ -185,6 +189,10 @@ int run(int argc, const char* const* argv) {
   }
   if (!summary.ok()) {
     std::fprintf(stderr, "cr stream: %s\n", summary.error.c_str());
+    return 1;
+  }
+  if (!checkpoint_error.empty()) {
+    std::fprintf(stderr, "cr stream: %s\n", checkpoint_error.c_str());
     return 1;
   }
 

@@ -9,13 +9,11 @@
 // achieves (Θ(f), Θ(g))-throughput with f = Θ(log t / log² g)). In the
 // 2^√log regime f is constant — constant throughput per Remark 2.
 #include <algorithm>
-#include <fstream>
 #include <ostream>
 
+#include "cli/bench_driver.hpp"
 #include "cli/benches/benches.hpp"
-#include "common/csv.hpp"
 #include "common/table.hpp"
-#include "exp/bench_driver.hpp"
 #include "exp/harness.hpp"
 #include "exp/scenarios.hpp"
 #include "metrics/throughput_check.hpp"
@@ -69,8 +67,7 @@ void run_regime(const Regime& regime, const BenchDriver& driver, int reps, int m
   }
 }
 
-int run(int argc, const char* const* argv) {
-  const BenchDriver driver(argc, argv, {tradeoff().id, tradeoff().summary, tradeoff().flags});
+int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
   const int reps = driver.reps(10, 3);
   const int max_exp = static_cast<int>(driver.get_int("max_exp", 20, 16));
@@ -95,10 +92,8 @@ int run(int argc, const char* const* argv) {
   // at the largest t) for plotting — the (f,g) ratio from the checker plus
   // windowed throughput/backlog from the streaming WindowedMetrics observer,
   // both attached to the same run through an ObserverChain.
-  const std::string csv_path = driver.csv_path("tradeoff_series.csv");
-  if (!csv_path.empty()) {
-    std::ofstream file(csv_path);
-    CsvWriter csv(file, tradeoff().csv_columns);
+  if (driver.wants_csv()) {
+    std::vector<std::vector<std::string>> rows;
     const slot_t t = static_cast<slot_t>(1) << max_exp;
     const slot_t window = std::max<slot_t>(1, t / 256);
     for (const Regime& regime : regimes) {
@@ -108,18 +103,17 @@ int run(int argc, const char* const* argv) {
       WindowedMetrics windows(window);
       ObserverChain chain{&checker, &windows};
       run_scenario(EngineRegistry::instance().preferred(sc.protocol), sc, &chain);
-      const std::size_t rows = std::min(checker.series().size(), windows.series().size());
-      for (std::size_t i = 0; i < rows; ++i) {
+      const std::size_t n = std::min(checker.series().size(), windows.series().size());
+      for (std::size_t i = 0; i < n; ++i) {
         const auto& pt = checker.series()[i];
         const WindowStats& win = windows.series()[i];
-        csv.row({regime.label, std::to_string(pt.t), std::to_string(pt.n_t),
-                 std::to_string(pt.d_t), std::to_string(pt.a_t), format_double(pt.ratio, 5),
-                 std::to_string(win.successes), format_double(win.live_mean, 2),
-                 std::to_string(win.live_max)});
+        rows.push_back({regime.label, std::to_string(pt.t), std::to_string(pt.n_t),
+                        std::to_string(pt.d_t), std::to_string(pt.a_t),
+                        format_double(pt.ratio, 5), std::to_string(win.successes),
+                        format_double(win.live_mean, 2), std::to_string(win.live_max)});
       }
     }
-    out << "\nratio series written to " << csv_path << " (" << csv.rows_written()
-        << " rows)\n";
+    if (!driver.write_csv(rows)) return 1;
   }
 
   out << "\nReading: within each regime the ratio column is flat in t (bounded\n"

@@ -15,12 +15,11 @@
 //   "grid": {"arrival": ["batch", "paced"], "jammer": ["none", "iid"]}
 // — the (arrival × jammer) product with zero new C++.
 #include <cstdio>
-#include <fstream>
 #include <ostream>
 
+#include "cli/bench_driver.hpp"
 #include "cli/benches/benches.hpp"
 #include "common/table.hpp"
-#include "exp/bench_driver.hpp"
 #include "exp/harness.hpp"
 #include "exp/workload.hpp"
 
@@ -81,10 +80,7 @@ std::string resolve(const std::vector<std::pair<std::string, std::string>>& flag
   return "";
 }
 
-int run(int argc, const char* const* argv) {
-  const BenchSpec& self = workload();
-  const BenchDriver driver(argc, argv,
-                           {self.id, self.summary, self.flags, is_component_param});
+int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
   const int reps = driver.reps(8, 3);
   const std::string engine_name = driver.cli().get_string("engine", "preferred");
@@ -142,12 +138,7 @@ int run(int argc, const char* const* argv) {
                  mean_sd(backlog, 1)});
   table.print(out);
 
-  const std::string csv_path = driver.csv_path("workload.csv");
-  if (!csv_path.empty()) {
-    std::ofstream file(csv_path);
-    write_table_csv(table, workload().csv_columns, file);
-    out << "\ntable written to " << csv_path << "\n";
-  }
+  if (!driver.write_csv(table)) return 1;
 
   out << "\nReading: one row per invocation by design — grids over\n"
          "(arrival × jammer × g × protocol) come from suite manifests\n"

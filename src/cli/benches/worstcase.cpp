@@ -11,12 +11,11 @@
 // success count exposes the Θ(t/log t) ceiling. The normalized column
 // successes·log2(t)/t should be flat in t and capped by a constant.
 #include <cmath>
-#include <fstream>
 #include <ostream>
 
+#include "cli/bench_driver.hpp"
 #include "cli/benches/benches.hpp"
 #include "common/table.hpp"
-#include "exp/bench_driver.hpp"
 #include "exp/harness.hpp"
 #include "exp/scenarios.hpp"
 
@@ -24,9 +23,7 @@ namespace cr::benches {
 
 namespace {
 
-int run(int argc, const char* const* argv) {
-  const BenchDriver driver(argc, argv,
-                           {worstcase().id, worstcase().summary, worstcase().flags});
+int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
   const bool quick = driver.quick();
   const int reps = driver.reps(6, 3);
@@ -62,12 +59,7 @@ int run(int argc, const char* const* argv) {
   }
   table.print(out);
 
-  const std::string csv_path = driver.csv_path("worstcase.csv");
-  if (!csv_path.empty()) {
-    std::ofstream file(csv_path);
-    write_table_csv(table, worstcase().csv_columns, file);
-    out << "\ntable written to " << csv_path << "\n";
-  }
+  if (!driver.write_csv(table)) return 1;
 
   out << "\nReading: down each (jam, margin) block the normalized column is flat in t;\n"
          "across margins it saturates at a constant ceiling — goodput Theta(t/log t),\n"

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "adversary/component_registry.hpp"
+#include "cli/bench_driver.hpp"
 #include "cli/bench_registry.hpp"
 #include "engine/engine.hpp"
 #include "exp/scenarios.hpp"
@@ -136,7 +137,7 @@ std::string experiments_markdown() {
      << "## Uniform driver flags\n"
      << "\n"
      << "Every bench shares the `BenchDriver` contract\n"
-     << "(`src/exp/bench_driver.hpp`):\n"
+     << "(`src/cli/bench_driver.hpp`):\n"
      << "\n"
      << "| Flag | Meaning |\n"
      << "| --- | --- |\n";

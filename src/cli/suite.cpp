@@ -12,12 +12,12 @@
 #include <fstream>
 #include <ostream>
 #include <map>
-#include <random>
 #include <set>
 #include <sstream>
 #include <thread>
 
 #include "cli/bench_registry.hpp"
+#include "common/cli.hpp"
 #include "common/snapshot.hpp"
 #include "common/source_digest.hpp"
 #include "common/table.hpp"
@@ -37,25 +37,11 @@ const std::set<std::string>& reserved_flags() {
   return reserved;
 }
 
-bool is_standard_flag(const std::string& name) {
-  for (const BenchFlag& flag : BenchDriver::standard_flags())
-    if (flag.name == name) return true;
-  return false;
-}
-
-bool bench_declares(const BenchSpec& spec, const std::string& name) {
-  for (const BenchFlag& flag : spec.flags)
-    if (flag.name == name) return true;
-  return false;
-}
-
-/// A flag a manifest may set on `bench`: declared by it, accepted by its
-/// dynamic-flag predicate (the workload bench's `arrival.*`/`jammer.*`
-/// keys), or a standard flag that is not runner-reserved.
+/// A flag a manifest may set on `bench`: one the bench accepts
+/// (BenchSpec::accepts_flag, the rule `cr bench` enforces) that is not
+/// runner-reserved.
 bool flag_allowed(const BenchSpec& spec, const std::string& name) {
-  if (reserved_flags().count(name)) return false;
-  if (spec.allows_flag != nullptr && spec.allows_flag(name)) return true;
-  return bench_declares(spec, name) || is_standard_flag(name);
+  return reserved_flags().count(name) == 0 && spec.accepts_flag(name);
 }
 
 /// Manifest scalars become flag text: numbers keep their raw source bytes,
@@ -159,7 +145,7 @@ pid_t run_cell_isolated(const std::string& bench, const std::vector<std::string>
   const pid_t pid = ::fork();
   if (pid == 0) {
     const int rc = BenchRegistry::instance().run(bench, args);
-    // _Exit: the CSV ofstream is already closed inside the bench, and the
+    // _Exit: BenchDriver::write_csv has already closed the CSV, and the
     // child must not flush stdio buffers it inherited from the parent.
     std::_Exit(rc);
   }
@@ -173,20 +159,6 @@ std::string utc_now() {
   char buf[32];
   std::strftime(buf, sizeof buf, "%Y-%m-%dT%H:%M:%SZ", &tm);
   return buf;
-}
-
-/// Process-unique tmp suffix (PID + random hex): concurrent shards sharing
-/// one out_dir — or the same process writing twice — never collide on a tmp
-/// path, so nobody can rename someone else's partial write into place.
-std::string unique_tmp_suffix() {
-  static thread_local std::mt19937_64 gen(
-      std::random_device{}() ^ (static_cast<std::uint64_t>(::getpid()) << 32) ^
-      static_cast<std::uint64_t>(
-          std::chrono::steady_clock::now().time_since_epoch().count()));
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%08llx",
-                static_cast<unsigned long long>(gen() & 0xFFFFFFFFull));
-  return ".tmp-" + std::to_string(::getpid()) + "-" + buf;
 }
 
 bool read_file_bytes(const std::string& path, std::string* out) {
@@ -483,9 +455,9 @@ SuiteLoadResult parse_suite(const JsonValue& root, const std::string& source) {
 
   // Every suite-wide default must mean something somewhere, or it is a typo.
   for (const auto& [key, value] : out.spec.defaults) {
-    bool used = is_standard_flag(key);
+    bool used = false;
     for (const auto& block : out.spec.blocks)
-      used = used || bench_declares(*registry.find(block.bench), key);
+      used = used || registry.find(block.bench)->accepts_flag(key);
     if (!used) return fail("defaults: \"" + key + "\" is not a flag of any bench in this suite");
   }
 

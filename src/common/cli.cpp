@@ -100,7 +100,15 @@ bool Cli::get_bool(const std::string& name, bool def) const {
   }
   const auto it = flags_.find(name);
   if (it == flags_.end()) return def;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string& text = it->second;
+  const bool yes = text == "true" || text == "1" || text == "yes";
+  const bool parsed = yes || text == "false" || text == "0" || text == "no";
+  if (!parsed) {
+    std::fprintf(stderr, "Cli: flag --%s expects true/1/yes or false/0/no, got \"%s\"\n",
+                 name.c_str(), text.c_str());
+  }
+  CR_CHECK(parsed);
+  return yes;
 }
 
 std::size_t edit_distance(const std::string& a, const std::string& b) {

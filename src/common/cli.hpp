@@ -36,6 +36,9 @@ class Cli {
   std::string get_string(const std::string& name, const std::string& def) const;
   std::int64_t get_int(const std::string& name, std::int64_t def) const;
   double get_double(const std::string& name, double def) const;
+  /// Accepts exactly true/1/yes and false/0/no; anything else (a typo, or
+  /// a positional swallowed by a bare `--flag value`) aborts via CR_CHECK
+  /// with a message, like a malformed get_int/get_double value.
   bool get_bool(const std::string& name, bool def) const;
 
   /// Register flag names as known without reading them.

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "common/check.hpp"
-#include "common/csv.hpp"
 
 namespace cr {
 
@@ -82,13 +81,6 @@ std::string Table::to_string() const {
   std::ostringstream os;
   print(os);
   return os.str();
-}
-
-void write_table_csv(const Table& table, const std::vector<std::string>& columns,
-                     std::ostream& os) {
-  CR_CHECK(columns.size() == table.cols());
-  CsvWriter csv(os, columns);
-  for (const auto& row : table.row_text()) csv.row(row);
 }
 
 }  // namespace cr

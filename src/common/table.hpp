@@ -44,7 +44,7 @@ class Table {
   std::size_t rows() const { return rows_.size(); }
   std::size_t cols() const { return headers_.size(); }
 
-  /// Formatted row text, for CSV export (write_table_csv). Column names
+  /// Formatted row text, for CSV export (BenchDriver::write_csv). Column names
   /// come from the caller — display headers are not machine-readable.
   const std::vector<std::vector<std::string>>& row_text() const { return rows_; }
 
@@ -53,15 +53,6 @@ class Table {
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;
 };
-
-/// Dump a rendered table as CSV under machine-readable column names
-/// (`columns` must match the table's width; headers like "succ*log2(t)/t"
-/// are display strings, so CSV names are supplied separately). Cells are
-/// written exactly as formatted for the table — deterministic for a given
-/// platform, which is what the suite runner's bit-identical resume and
-/// shard guarantees build on.
-void write_table_csv(const Table& table, const std::vector<std::string>& columns,
-                     std::ostream& os);
 
 /// Format a double with fixed precision (helper shared with CSV).
 std::string format_double(double v, int precision);

@@ -71,18 +71,6 @@ std::string utc_now_stamp() {
   return buf;
 }
 
-/// Process-unique scratch name: PID + random suffix, so two processes (or
-/// two stores within one process) racing the same cache never collide on a
-/// tmp path.
-std::string unique_suffix() {
-  static thread_local std::mt19937_64 gen(
-      std::random_device{}() ^
-      (static_cast<std::uint64_t>(::getpid()) << 32) ^
-      static_cast<std::uint64_t>(
-          std::chrono::steady_clock::now().time_since_epoch().count()));
-  return std::to_string(::getpid()) + "-" + hex16(gen());
-}
-
 /// Validate one entry directory against an optional probe. Returns true on
 /// a clean, provenance-matching entry; otherwise fills `*diagnostic` with a
 /// named reason. `csv_out` (optional) receives the verified bytes.
@@ -140,6 +128,14 @@ bool validate_entry(const std::string& entry_dir, const CellKey* probe,
 
 }  // namespace
 
+std::string unique_tmp_suffix() {
+  static thread_local std::mt19937_64 gen(
+      std::random_device{}() ^ (static_cast<std::uint64_t>(::getpid()) << 32) ^
+      static_cast<std::uint64_t>(
+          std::chrono::steady_clock::now().time_since_epoch().count()));
+  return ".tmp-" + std::to_string(::getpid()) + "-" + hex16(gen());
+}
+
 CellCache::CellCache(std::string dir) : dir_(std::move(dir)) {}
 
 std::string CellCache::key_of(const CellKey& key) {
@@ -175,7 +171,7 @@ bool CellCache::store(const CellKey& key, const std::string& csv, const std::str
     *error = "cannot create cache dir " + dir_ + ": " + ec.message();
     return false;
   }
-  const std::string tmp_dir = dir_ + "/tmp-" + unique_suffix();
+  const std::string tmp_dir = dir_ + "/store" + unique_tmp_suffix();
   fs::create_directory(tmp_dir, ec);
   if (ec) {
     *error = "cannot create " + tmp_dir + ": " + ec.message();

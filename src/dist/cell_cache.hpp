@@ -38,6 +38,13 @@
 
 namespace cr {
 
+/// Process-unique tmp-name suffix, ".tmp-<pid>-<16 hex>": concurrent
+/// processes sharing one directory (shards writing one out_dir, stores
+/// racing into one cache) — or one process writing the same path twice —
+/// never collide on a tmp path, so nobody renames someone else's partial
+/// write into place.
+std::string unique_tmp_suffix();
+
 /// The probe: everything that determines a cell's output bytes.
 struct CellKey {
   std::string config_hash;    ///< suite_config_hash of the full expansion

@@ -1,7 +1,5 @@
 #include "dist/merge.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -13,6 +11,7 @@
 #include "cli/suite.hpp"
 #include "common/json.hpp"
 #include "common/table.hpp"
+#include "dist/cell_cache.hpp"
 
 namespace cr {
 
@@ -264,7 +263,7 @@ int merge_manifests(const MergeOptions& opts, std::ostream& log) {
   }
 
   // tmp + rename, like every other output in the run directory.
-  const std::string tmp_path = out_path + ".tmp-" + std::to_string(::getpid());
+  const std::string tmp_path = out_path + unique_tmp_suffix();
   {
     std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
     out << "{\n"

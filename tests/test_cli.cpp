@@ -1,5 +1,5 @@
-// Unit tests for Cli numeric-flag validation: malformed values must fail
-// loudly via CR_CHECK instead of silently parsing to 0.
+// Unit tests for Cli flag validation: malformed numeric or boolean values
+// must fail loudly via CR_CHECK instead of silently parsing to 0 / false.
 #include <gtest/gtest.h>
 
 #include <initializer_list>
@@ -77,6 +77,15 @@ TEST(CliValidateDeathTest, RejectsBareBoolReadAsInt) {
   // abort rather than return 0.
   const Cli cli = make_cli({"--verbose"});
   EXPECT_DEATH(cli.get_int("verbose", 0), "expects an integer");
+}
+
+TEST(CliValidateDeathTest, RejectsNonBooleanValue) {
+  // Any other value used to read as false, so --quick=ture silently ran at
+  // full size; so did `--quick stray`, where the bare boolean consumes the
+  // next token as its value.
+  EXPECT_DEATH(make_cli({"--quick=ture"}).get_bool("quick", false),
+               "expects true/1/yes or false/0/no, got \"ture\"");
+  EXPECT_DEATH(make_cli({"--quick", "stray"}).get_bool("quick", false), "got \"stray\"");
 }
 
 // Unknown-flag rejection: a typo like --rep=10 must fail loudly instead of

@@ -1,16 +1,26 @@
 // Streaming service mode (engine/stream.hpp): the SPSC event ring, the feed
 // parser, the synthetic generator, and the StreamSim driver's bit-exact
 // kill/restore contract — all in-process (the CLI end-to-end byte-diff is
-// the golden_stream_kill_restore CTest in tests/golden/stream_diff.cmake).
+// the golden_stream_kill_restore CTest in tests/golden/stream_diff.cmake),
+// plus the CLI's checkpoint sink under a failing write.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <csignal>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cli/bench_registry.hpp"
 #include "engine/stream.hpp"
 
 namespace cr {
@@ -305,6 +315,47 @@ TEST(StreamSim, RestoreRejectsForeignAndCorruptBlobs) {
   StreamSim tail(test_options());
   EXPECT_FALSE(tail.restore(head_out.last_checkpoint, &error));
   EXPECT_NE(error.find("checksum mismatch"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// `cr stream --checkpoint` through the real bench path.
+// ---------------------------------------------------------------------------
+
+TEST(StreamCheckpoint, FailedWriteKeepsLastGoodCheckpointAndExitsNonzero) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("cr_test_stream_ckpt_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const fs::path checkpoint = dir / "run.snap";
+  const std::string good = "last good checkpoint bytes";
+  std::ofstream(checkpoint, std::ios::binary) << good;
+
+  std::fflush(nullptr);  // the child must not replay this process's buffers
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    // Every file write past 64 bytes fails with EFBIG instead of killing the
+    // process, so each checkpoint blob (hundreds of bytes) is a short write.
+    const rlimit limit{64, 64};
+    std::FILE* sink = std::fopen("/dev/null", "w");
+    if (::setrlimit(RLIMIT_FSIZE, &limit) != 0 || std::signal(SIGXFSZ, SIG_IGN) == SIG_ERR ||
+        sink == nullptr || ::dup2(::fileno(sink), 1) < 0 || ::dup2(::fileno(sink), 2) < 0)
+      std::_Exit(99);
+    std::_Exit(BenchRegistry::instance().run(
+        "stream", {"--synth=400", "--window=64", "--seed=5", "--threads=1",
+                   "--checkpoint_every=128", "--checkpoint=" + checkpoint.string()}));
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_NE(WEXITSTATUS(status), 0);
+  EXPECT_NE(WEXITSTATUS(status), 99) << "child setup failed";
+  std::ifstream in(checkpoint, std::ios::binary);
+  std::stringstream bytes;
+  bytes << in.rdbuf();
+  EXPECT_EQ(bytes.str(), good) << "a failed write must never replace the last checkpoint";
+  EXPECT_FALSE(fs::exists(dir / "run.snap.tmp"));
+  fs::remove_all(dir);
 }
 
 }  // namespace

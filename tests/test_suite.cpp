@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -19,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "cli/bench_driver.hpp"
 #include "cli/bench_registry.hpp"
 #include "common/json.hpp"
 
@@ -59,6 +61,41 @@ TEST(SuiteParse, RejectsUnknownGridAxis) {
       R"({"name": "s", "cells": [{"bench": "latency", "grid": {"max_n": [64]}}]})");
   EXPECT_FALSE(loaded.ok());  // latency declares max_exp, not max_n
   EXPECT_NE(loaded.error.find("max_n"), std::string::npos) << loaded.error;
+
+  // One flag rule (BenchSpec::accepts_flag) for every registered bench: a
+  // misspelling of a standard or declared flag is refused by the manifest
+  // validator AND by `cr bench`, which exits 2 before running anything.
+  for (const BenchSpec& spec : BenchRegistry::instance().entries()) {
+    std::vector<std::string> typos = {"rep"};
+    for (const BenchFlag& flag : spec.flags) typos.push_back(flag.name + "x");
+    for (const std::string& typo : typos) {
+      ASSERT_FALSE(spec.accepts_flag(typo)) << spec.name << " --" << typo;
+      const auto typo_loaded = parse(R"({"name": "s", "cells": [{"bench": ")" + spec.name +
+                                     R"(", "grid": {")" + typo + R"(": [1]}}]})");
+      EXPECT_FALSE(typo_loaded.ok()) << spec.name << " --" << typo;
+      EXPECT_NE(typo_loaded.error.find("is not a flag of this bench"), std::string::npos)
+          << typo_loaded.error;
+      EXPECT_EXIT(BenchRegistry::instance().run(spec.name, {"--" + typo + "=1"}),
+                  ::testing::ExitedWithCode(2), "unknown flag --" + typo);
+    }
+  }
+}
+
+TEST(SuiteParse, AcceptsEveryDeclaredFlagLikeTheDriver) {
+  for (const BenchSpec& spec : BenchRegistry::instance().entries()) {
+    std::vector<std::string> args;
+    for (const BenchFlag& flag : spec.flags) {
+      args.push_back("--" + flag.name + "=1");
+      // The bench's own validate_cell may still veto the value (there is no
+      // scenario "1"); the flag name itself must pass.
+      const auto loaded = parse(R"({"name": "s", "cells": [{"bench": ")" + spec.name +
+                                R"(", "grid": {")" + flag.name + R"(": [1]}}]})");
+      EXPECT_EQ(loaded.error.find("is not a flag of this bench"), std::string::npos)
+          << spec.name << ": " << loaded.error;
+    }
+    // Parsing every declared flag at once: a refused one would exit 2 here.
+    [[maybe_unused]] const BenchDriver driver(spec, args);
+  }
 }
 
 TEST(SuiteParse, RejectsReservedFlags) {
@@ -482,6 +519,76 @@ TEST_F(SuiteRunTest, DryRunExecutesNothing) {
   EXPECT_EQ(run_suite(spec_, opts, log), 0);
   EXPECT_FALSE(fs::exists(dir_));
   EXPECT_NE(log.str().find("dry run"), std::string::npos);
+}
+
+/// `cr bench <name> <args>` through BenchRegistry::run in a forked child
+/// whose working directory is `cwd`; its stdout and stderr land in
+/// `*output`. Returns the exit code (-1 when the child did not exit).
+int run_bench_in(const fs::path& cwd, const std::string& name,
+                 const std::vector<std::string>& args, std::string* output) {
+  const fs::path log = cwd / "bench.log";
+  std::fflush(nullptr);  // the child must not replay this process's buffers
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    std::FILE* sink = std::fopen(log.c_str(), "w");
+    if (sink == nullptr || ::dup2(::fileno(sink), 1) < 0 || ::dup2(::fileno(sink), 2) < 0 ||
+        ::chdir(cwd.c_str()) != 0)
+      std::_Exit(99);
+    const int rc = BenchRegistry::instance().run(name, args);
+    std::fflush(nullptr);
+    std::_Exit(rc);
+  }
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+  std::ifstream in(log);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  *output = buf.str();
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+class BenchCsvTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = fs::temp_directory_path() /
+           ("cr_test_bench_csv_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
+  }
+  void TearDown() override { fs::remove_all(dir_); }
+
+  const std::vector<std::string> tiny_ = {"--quick", "--reps=1", "--threads=1",
+                                          "--max_n=64"};
+  fs::path dir_;
+};
+
+TEST_F(BenchCsvTest, UnwritablePathExitsNonzeroWithoutWrittenLine) {
+  std::vector<std::string> args = tiny_;
+  const fs::path target = dir_ / "missing" / "x.csv";
+  args.push_back("--csv=" + target.string());
+  std::string output;
+  EXPECT_NE(run_bench_in(dir_, "energy", args, &output), 0) << output;
+  EXPECT_NE(output.find("cannot write CSV to " + target.string()), std::string::npos)
+      << output;
+  EXPECT_EQ(output.find("written to"), std::string::npos) << output;
+  EXPECT_FALSE(fs::exists(target));
+}
+
+TEST_F(BenchCsvTest, BareCsvWritesBenchNameCsvUnderSpecColumns) {
+  std::vector<std::string> args = tiny_;
+  args.push_back("--csv");
+  std::string output;
+  ASSERT_EQ(run_bench_in(dir_, "energy", args, &output), 0) << output;
+  EXPECT_NE(output.find("table written to energy.csv (2 rows)"), std::string::npos)
+      << output;
+  std::ifstream in(dir_ / "energy.csv");
+  std::string header;
+  ASSERT_TRUE(std::getline(in, header));
+  std::string expected;
+  for (const std::string& column : BenchRegistry::instance().at("energy").csv_columns)
+    expected += (expected.empty() ? "" : ",") + column;
+  EXPECT_EQ(header, expected);
 }
 
 }  // namespace
